@@ -1,6 +1,8 @@
 #include "common.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -175,8 +177,16 @@ std::size_t parse_size_flag(int argc, char** argv, const char* flag,
   const std::string value = parse_flag(argc, argv, flag);
   if (value.empty()) return def;
   char* end = nullptr;
-  const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return def;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+  // strtoull skips spaces and negates "-1"; demand a bare digit string.
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr,
+                 "usage: %s: %s needs a non-negative integer, got '%s'\n",
+                 argv[0], flag, value.c_str());
+    std::exit(2);
+  }
   return static_cast<std::size_t>(n);
 }
 
@@ -236,24 +246,8 @@ void print_replicate_distributions(const sim::ReplicateReport& report) {
 }
 
 std::size_t parse_threads(int argc, char** argv, std::size_t def) {
-  const char* value = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
-    } else {
-      constexpr const char kPrefix[] = "--threads=";
-      if (std::strncmp(arg, kPrefix, sizeof kPrefix - 1) == 0) {
-        value = arg + (sizeof kPrefix - 1);
-      }
-    }
-  }
-  if (value == nullptr) return def;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(value, &end, 10);
-  if (end == value || *end != '\0') return def;
-  return n == 0 ? core::ThreadPool::default_workers()
-                : static_cast<std::size_t>(n);
+  const std::size_t n = parse_size_flag(argc, argv, "--threads", def);
+  return n == 0 ? core::ThreadPool::default_workers() : n;
 }
 
 BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)

@@ -112,8 +112,8 @@ class Checks {
 void split_engine_records(const protocol::MntpEngine& engine, Series* accepted,
                           Series* rejected, Series* corrected);
 
-/// Parse `--threads N` (or `--threads=N`) from argv; `def` when absent
-/// or malformed. 0 means "one worker per hardware thread".
+/// Parse `--threads N` (or `--threads=N`) from argv via parse_size_flag;
+/// `def` when absent. 0 means "one worker per hardware thread".
 std::size_t parse_threads(int argc, char** argv, std::size_t def = 1);
 
 /// `--replicates K --threads N` for the multi-seed benches. replicates
@@ -138,7 +138,8 @@ void print_replicate_distributions(const sim::ReplicateReport& report);
 /// wins); empty string when absent. `flag` includes the leading dashes.
 std::string parse_flag(int argc, char** argv, const char* flag);
 
-/// parse_flag for non-negative integers; `def` when absent or malformed.
+/// parse_flag for non-negative integers; `def` when absent. A malformed
+/// value ("abc", "1x", "-1") prints a usage error and exits 2.
 std::size_t parse_size_flag(int argc, char** argv, const char* flag,
                             std::size_t def);
 

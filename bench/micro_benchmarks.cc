@@ -323,8 +323,7 @@ BENCHMARK(BM_MetricsCounterInc);
 void BM_MetricsHistogramRecord(benchmark::State& state) {
   obs::Telemetry telemetry;
   obs::ScopedTelemetry scope(telemetry);
-  obs::Histogram* h = telemetry.metrics().histogram(
-      "bench.histogram", obs::HistogramOptions::latency_ms());
+  obs::Histogram* h = telemetry.metrics().histogram("bench.histogram");
   core::Rng rng(11);
   for (auto _ : state) {
     h->record(rng.uniform(0.1, 500.0));

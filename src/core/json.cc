@@ -58,8 +58,16 @@ class Parser {
   Result<Json> parse_value() {
     if (eof()) return error("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse; bound the nesting so hostile input is an
+        // error, not a stack overflow.
+        if (depth_ == Json::kMaxDepth) return error("nesting too deep");
+        ++depth_;
+        Result<Json> v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Result<std::string> s = parse_string();
         if (!s.ok()) return s.error();
@@ -218,6 +226,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open containers around pos_
 };
 
 }  // namespace

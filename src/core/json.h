@@ -58,6 +58,10 @@ class Json {
   /// Array/object size; 0 otherwise.
   [[nodiscard]] std::size_t size() const;
 
+  /// Deepest container nesting parse() accepts; deeper input is an
+  /// error rather than unbounded recursion.
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Parse a complete document. Trailing non-whitespace is an error.
   [[nodiscard]] static Result<Json> parse(std::string_view text);
 

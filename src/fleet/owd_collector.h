@@ -3,7 +3,7 @@
 // Two consumers, two stores:
 //
 //   * the obs registry — fleet.owd_ms{speaker,population} and
-//     fleet.category_owd_ms{category} obs::ShardedHdrHistograms (plus
+//     fleet.category_owd_ms{category} obs::Histograms (plus
 //     the fleet.owd.invalid counter), so the fleet's distributions land
 //     in run reports next to every other layer's metrics;
 //   * per-slot local HdrHistograms — one slot per server, written only
@@ -71,10 +71,10 @@ class OwdCollector {
   double valid_min_ms_;
   double valid_max_ms_;
   std::vector<Slot> slots_;
-  // Registry handles (shared across slots; Sharded* are thread-safe).
-  std::array<std::array<obs::ShardedHdrHistogram*, 2>, 2> reg_class_{};
-  std::array<obs::ShardedHdrHistogram*, 4> reg_category_{};
-  obs::ShardedCounter* reg_invalid_ = nullptr;
+  // Registry handles (shared across slots; thread-safe).
+  std::array<std::array<obs::Histogram*, 2>, 2> reg_class_{};
+  std::array<obs::Histogram*, 4> reg_category_{};
+  obs::Counter* reg_invalid_ = nullptr;
 };
 
 }  // namespace mntp::fleet

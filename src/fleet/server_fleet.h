@@ -94,11 +94,11 @@ class ServerFleet {
   std::uint64_t batch_window_ns_;
   double server_err_sigma_ms_;
   std::vector<State> state_;
-  std::vector<obs::ShardedCounter*> requests_counter_;  // per server
-  obs::ShardedCounter* kod_counter_;
-  obs::ShardedCounter* batches_counter_;
-  obs::ShardedCounter* cache_hit_counter_;
-  obs::ShardedCounter* cache_miss_counter_;
+  std::vector<obs::Counter*> requests_counter_;  // per server
+  obs::Counter* kod_counter_;
+  obs::Counter* batches_counter_;
+  obs::Counter* cache_hit_counter_;
+  obs::Counter* cache_miss_counter_;
 };
 
 }  // namespace mntp::fleet

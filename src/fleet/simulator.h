@@ -94,8 +94,8 @@ class Simulator {
   std::shared_ptr<const ClientFleet> fleet_;
   FleetParams params_;
   net::SnrFailureLut snr_lut_;  // empty unless params_.use_snr_lut
-  obs::ShardedCounter* queries_counter_;
-  obs::ShardedCounter* dropped_counter_;
+  obs::Counter* queries_counter_;
+  obs::Counter* dropped_counter_;
 };
 
 }  // namespace mntp::fleet

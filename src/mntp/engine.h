@@ -150,10 +150,10 @@ class MntpEngine {
   // obs::Telemetry::global() so the hot path stays a pointer increment.
   // The engine stays simulation-free: obs depends only on core.
   obs::Telemetry* telemetry_ = nullptr;
-  obs::ShardedCounter* outcome_counters_[4] = {};  // indexed by SampleOutcome
-  obs::ShardedCounter* rounds_counter_ = nullptr;
-  obs::ShardedCounter* deferrals_counter_ = nullptr;
-  obs::ShardedCounter* resets_counter_ = nullptr;
+  obs::Counter* outcome_counters_[4] = {};  // indexed by SampleOutcome
+  obs::Counter* rounds_counter_ = nullptr;
+  obs::Counter* deferrals_counter_ = nullptr;
+  obs::Counter* resets_counter_ = nullptr;
   // Timeline probes (obs/timeseries.h): inert unless the recorder is
   // capturing at construction. Unregister with the engine, so a bench
   // running several experiments in sequence gets one series per engine.

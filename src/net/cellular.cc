@@ -16,8 +16,7 @@ class CellularNetwork::DirectionalLink final : public Link {
     const obs::Labels dir{{"dir", is_uplink ? "up" : "down"}};
     tx_counter_ = m.counter(obs::metric_names::kNetCellTx, dir);
     drop_counter_ = m.counter(obs::metric_names::kNetCellDrop, dir);
-    delay_ms_ = m.histogram(obs::metric_names::kNetCellDelayMs,
-                            obs::HistogramOptions::latency_ms(), dir);
+    delay_ms_ = m.histogram(obs::metric_names::kNetCellDelayMs, {}, dir);
     delay_probe_ = obs::Telemetry::global().timeseries().probe(
         obs::metric_names::kTsNetDelayMs,
         obs::Labels{{"transport", "cell"}, {"dir", is_uplink ? "up" : "down"}},

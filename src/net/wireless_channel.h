@@ -196,10 +196,10 @@ class WirelessChannel {
   // Telemetry handles (per direction: [0]=up, [1]=down), bound at
   // construction to the then-current global obs context.
   obs::Telemetry* telemetry_;
-  obs::ShardedCounter* tx_counter_[2];
-  obs::ShardedCounter* drop_counter_[2];
+  obs::Counter* tx_counter_[2];
+  obs::Counter* drop_counter_[2];
   obs::Histogram* delay_ms_[2];
-  obs::ShardedCounter* bad_transitions_;
+  obs::Counter* bad_transitions_;
   // Timeline probes: latest delivered delay per direction and the
   // offered-load knob (inert unless the recorder captures).
   double last_delay_ms_[2] = {0.0, 0.0};

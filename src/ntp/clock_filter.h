@@ -95,8 +95,8 @@ class ClockFilter {
   /// Set while the previous sample was popcorn-suppressed: the next
   /// out-of-gate sample is admitted (level-shift escape hatch).
   bool popcorn_armed_ = false;
-  obs::ShardedCounter* samples_counter_ = nullptr;
-  obs::ShardedCounter* suppressed_counter_ = nullptr;
+  obs::Counter* samples_counter_ = nullptr;
+  obs::Counter* suppressed_counter_ = nullptr;
 };
 
 }  // namespace mntp::ntp

@@ -65,16 +65,15 @@ class QueryEngine {
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t timeouts_ = 0;
-  obs::ShardedCounter* sent_counter_ = nullptr;
-  obs::ShardedCounter* ok_counter_ = nullptr;
-  obs::ShardedCounter* timeout_counter_ = nullptr;
-  obs::ShardedCounter* error_counter_ = nullptr;
+  obs::Counter* sent_counter_ = nullptr;
+  obs::Counter* ok_counter_ = nullptr;
+  obs::Counter* timeout_counter_ = nullptr;
+  obs::Counter* error_counter_ = nullptr;
   obs::Histogram* rtt_ms_ = nullptr;
   /// Per-direction one-way delays on the TRUE timeline (the simulator
-  /// can observe what a real client cannot). Mergeable HDR histograms —
-  /// these are the distributions replicate/fleet aggregation needs.
-  obs::ShardedHdrHistogram* owd_up_ms_ = nullptr;
-  obs::ShardedHdrHistogram* owd_down_ms_ = nullptr;
+  /// can observe what a real client cannot).
+  obs::Histogram* owd_up_ms_ = nullptr;
+  obs::Histogram* owd_down_ms_ = nullptr;
   // Timeline probes: latest OWD per direction.
   double last_owd_up_ms_ = 0.0;
   double last_owd_down_ms_ = 0.0;

@@ -8,7 +8,7 @@ namespace mntp::obs {
 
 namespace {
 
-std::size_t octave_count(const HdrHistogramOptions& o) {
+std::size_t octave_count(const HdrHistogram::Options& o) {
   // Enough octaves that max_magnitude falls inside (or just past) the
   // top one: ceil(log2(max / min)).
   const double ratio = o.max_magnitude / o.min_magnitude;
@@ -18,7 +18,7 @@ std::size_t octave_count(const HdrHistogramOptions& o) {
 
 }  // namespace
 
-HdrHistogram::HdrHistogram(HdrHistogramOptions options) : options_(options) {
+HdrHistogram::HdrHistogram(Options options) : options_(options) {
   if (!(options_.min_magnitude > 0.0) ||
       !(options_.max_magnitude > options_.min_magnitude)) {
     throw std::invalid_argument(
@@ -205,49 +205,6 @@ bool HdrHistogram::operator==(const HdrHistogram& other) const {
   }
   if (count_ > 0 && (min_ != other.min_ || max_ != other.max_)) return false;
   return positive_ == other.positive_ && negative_ == other.negative_;
-}
-
-ShardedHdrHistogram::ShardedHdrHistogram(HdrHistogramOptions options,
-                                         const std::atomic<bool>* enabled)
-    : options_(options), enabled_(enabled) {
-  static std::atomic<std::uint64_t> next_id{1};
-  instance_id_ = next_id.fetch_add(1, std::memory_order_relaxed);
-  // Validate eagerly so a bad layout fails at registration, not first use.
-  (void)HdrHistogram(options_);
-}
-
-HdrHistogram* ShardedHdrHistogram::shard_for_this_thread() {
-  struct CacheEntry {
-    const ShardedHdrHistogram* owner;
-    std::uint64_t instance_id;
-    HdrHistogram* shard;
-  };
-  // Per-thread map from histogram instance to its shard. A linear scan:
-  // a process has a handful of HDR metrics, not thousands.
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.owner == this && e.instance_id == instance_id_) return e.shard;
-  }
-  // Miss — drop any entry for a destroyed instance that shared this
-  // address, then create this thread's shard under the lock.
-  std::erase_if(cache, [this](const CacheEntry& e) { return e.owner == this; });
-  std::lock_guard<std::mutex> lock(mutex_);
-  shards_.push_back(std::make_unique<HdrHistogram>(options_));
-  HdrHistogram* shard = shards_.back().get();
-  cache.push_back({this, instance_id_, shard});
-  return shard;
-}
-
-void ShardedHdrHistogram::record(double v) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  shard_for_this_thread()->record(v);
-}
-
-HdrHistogram ShardedHdrHistogram::merged() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HdrHistogram out(options_);
-  for (const auto& shard : shards_) out.merge(*shard);
-  return out;
 }
 
 }  // namespace mntp::obs

@@ -1,15 +1,14 @@
-// Mergeable log-linear histogram ("HDR-style"), the exact-count
-// complement to the P² estimators in obs/metrics.h.
+// Mergeable log-linear histogram ("HDR-style"): the value type behind
+// every registry Histogram (obs/metrics.h), the fleet OWD tables and the
+// replicate aggregates.
 //
-// P² tracks one quantile in O(1) memory but is order-sensitive and
-// fundamentally non-mergeable: two P² marker sets cannot be combined
-// into the marker set of the concatenated stream. That rules it out
-// wherever distributions must be aggregated across independent recorders
-// — sim::ReplicationRunner replicates, thread-pool shards, or future
-// fleet shards (the server's-eye OWD distributions of TimeWeaver and the
-// paper's §3.1 measurement study are exactly such aggregates).
+// Distributions here must be aggregated across independent recorders —
+// sim::ReplicationRunner replicates, thread-pool shards, fleet shards
+// (the server's-eye OWD distributions of TimeWeaver and the paper's §3.1
+// measurement study are exactly such aggregates) — so the histogram has
+// to merge exactly, which a streaming estimator such as P² cannot.
 //
-// HdrHistogram instead buckets values on a log-linear grid: the magnitude
+// HdrHistogram buckets values on a log-linear grid: the magnitude
 // axis is split into octaves (powers of two above `min_magnitude`), each
 // octave into 2^sub_bucket_bits equal-width linear sub-buckets. Bucket
 // counts are exact integers, so
@@ -31,40 +30,37 @@
 // error unbounded there — min()/max() stay exact regardless). NaN is
 // counted separately and never pollutes min/max.
 //
-// HdrHistogram itself is a plain value type with no locking — copyable,
-// movable, comparable. ShardedHdrHistogram wraps it for the registry hot
-// path: record() writes to a per-thread shard resolved through a
-// thread-local cache (no mutex after first touch per thread), and
-// merged() combines the shards. Because merge order is irrelevant, the
-// merged result is identical for every thread count and scheduling.
+// HdrHistogram is a plain value type with no locking — copyable,
+// movable, comparable. The registry keeps one per thread per histogram
+// and merges them on read; because merge order is irrelevant, the merged
+// result is identical for every thread count and scheduling.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace mntp::obs {
 
-struct HdrHistogramOptions {
-  /// Magnitudes below this are "zero" (dedicated bucket). Must be > 0.
-  double min_magnitude = 1e-3;
-  /// Magnitudes at or above this clamp into the top bucket. Must exceed
-  /// min_magnitude.
-  double max_magnitude = 1e9;
-  /// Sub-buckets per octave = 2^sub_bucket_bits; relative quantile error
-  /// is bounded by 2^-(sub_bucket_bits+1). Range [1, 12].
-  unsigned sub_bucket_bits = 5;
-
-  [[nodiscard]] bool operator==(const HdrHistogramOptions&) const = default;
-};
-
 class HdrHistogram {
  public:
-  explicit HdrHistogram(HdrHistogramOptions options = {});
+  /// Bucket layout. Histograms merge only when their layouts are equal.
+  struct Options {
+    /// Magnitudes below this are "zero" (dedicated bucket). Must be > 0.
+    double min_magnitude = 1e-3;
+    /// Magnitudes at or above this clamp into the top bucket. Must exceed
+    /// min_magnitude.
+    double max_magnitude = 1e9;
+    /// Sub-buckets per octave = 2^sub_bucket_bits; relative quantile
+    /// error is bounded by 2^-(sub_bucket_bits+1). Range [1, 12].
+    unsigned sub_bucket_bits = 5;
+
+    [[nodiscard]] bool operator==(const Options&) const = default;
+  };
+
+  HdrHistogram() : HdrHistogram(Options{}) {}
+  explicit HdrHistogram(Options options);
 
   void record(double v, std::uint64_t n = 1);
 
@@ -87,7 +83,7 @@ class HdrHistogram {
   /// [min, max]. q in [0, 1]; 0 when empty.
   [[nodiscard]] double quantile(double q) const;
 
-  [[nodiscard]] const HdrHistogramOptions& options() const { return options_; }
+  [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] bool same_layout(const HdrHistogram& other) const {
     return options_ == other.options_;
   }
@@ -109,7 +105,7 @@ class HdrHistogram {
   /// Inclusive upper bound of positive-side bucket i.
   [[nodiscard]] double bucket_upper(std::size_t i) const;
 
-  HdrHistogramOptions options_;
+  Options options_;
   std::size_t sub_buckets_ = 0;  // 2^sub_bucket_bits
   std::size_t octaves_ = 0;
   std::vector<std::uint64_t> positive_;
@@ -119,42 +115,6 @@ class HdrHistogram {
   std::uint64_t nan_count_ = 0;
   double min_ = 0.0;  // valid iff count_ > 0
   double max_ = 0.0;
-};
-
-/// Registry-facing wrapper: per-thread HdrHistogram shards so the record
-/// hot path takes no lock (after the first record on each thread), merged
-/// on demand. Handles are created by MetricsRegistry::hdr_histogram() and
-/// stay valid for the registry's lifetime.
-class ShardedHdrHistogram {
- public:
-  /// Record into this thread's shard. Lock-free after the shard exists
-  /// (one mutex acquisition per thread per histogram, at first record).
-  void record(double v);
-
-  /// Merge every shard into one histogram. Identical result for every
-  /// thread count / interleaving (merge is order-insensitive). Call after
-  /// parallel sections have joined (core::ThreadPool::parallel_for joins
-  /// before returning): shard writes are not synchronized with this read,
-  /// the same rule Telemetry documents for sink reconfiguration.
-  [[nodiscard]] HdrHistogram merged() const;
-
-  [[nodiscard]] const HdrHistogramOptions& options() const {
-    return options_;
-  }
-
- private:
-  friend class MetricsRegistry;
-  ShardedHdrHistogram(HdrHistogramOptions options,
-                      const std::atomic<bool>* enabled);
-  HdrHistogram* shard_for_this_thread();
-
-  HdrHistogramOptions options_;
-  const std::atomic<bool>* enabled_;
-  /// Distinguishes this instance from a destroyed one reusing the same
-  /// address, so stale thread-local cache entries never resolve.
-  std::uint64_t instance_id_;
-  mutable std::mutex mutex_;  // guards shards_ growth and merged()
-  std::vector<std::unique_ptr<HdrHistogram>> shards_;
 };
 
 }  // namespace mntp::obs

@@ -72,10 +72,10 @@ inline constexpr const char kMntpClientClockSteps[] =
 inline constexpr const char kTunerConfigsScored[] = "tuner.configs_scored";
 
 // fleet: the SoA client-population simulator (src/fleet/). Counters are
-// ShardedCounters bumped from worker threads; the OWD families are
-// ShardedHdrHistograms labelled by (speaker, population) and by provider
-// category respectively — the aggregates behind the §3.1-style tables
-// fleet_qps prints and the mntp_fleet_report artifact embeds.
+// bumped from worker threads; the OWD families are histograms labelled
+// by (speaker, population) and by provider category respectively — the
+// aggregates behind the §3.1-style tables fleet_qps prints and the
+// mntp_fleet_report artifact embeds.
 inline constexpr const char kFleetClientQueries[] = "fleet.client.queries";
 inline constexpr const char kFleetClientDropped[] = "fleet.client.dropped";
 inline constexpr const char kFleetServerRequests[] = "fleet.server.requests";
@@ -121,9 +121,7 @@ inline constexpr const char kTsDeviceRadioOnS[] = "device.radio_on_s";
 inline constexpr const char kTsNtpServerRequests[] = "ntp.server.requests";
 }  // namespace metric_names
 
-/// Profiler span names (obs/profiler.h). The sim.run/run_until names
-/// deliberately match the SpanTimer histogram prefixes so wall-time
-/// histograms and span profiles line up by name.
+/// Profiler span names (obs/profiler.h).
 namespace spans {
 inline constexpr const char kSimRun[] = "sim.run";
 inline constexpr const char kSimRunUntil[] = "sim.run_until";

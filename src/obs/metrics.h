@@ -6,8 +6,8 @@
 //
 //   1. Hot-path cheapness. Instrumented code resolves a handle (Counter*,
 //      Gauge*, Histogram*) ONCE at construction; recording through the
-//      handle is O(1) with no map lookup and no allocation. A disabled
-//      registry reduces every record to one predictable branch.
+//      handle is O(1) with no map lookup and no allocation once warm. A
+//      disabled registry reduces every record to one predictable branch.
 //   2. Determinism. Metrics only observe; nothing in the library reads a
 //      metric back to make a decision, so instrumentation can never
 //      perturb an experiment's RNG streams or event order.
@@ -15,30 +15,28 @@
 //      structs that the report writer (obs/report.h) serializes without
 //      knowing anything about individual metrics.
 //
-// Histograms record into fixed buckets (for distribution shape) AND into
-// P-squared streaming quantile estimators (for accurate p50/p90/p99
-// without retaining samples) — the two complement each other: buckets are
-// mergeable and exact-boundary, P² is O(1)-memory and boundary-free.
+// One implementation per concept:
+//
+//   * Counter   — monotonic count in a per-thread slab cell;
+//   * Gauge     — last-writer-wins instantaneous value (one atomic);
+//   * Histogram — per-thread HdrHistogram shard (obs/hdr_histogram.h):
+//     exact log-linear bucket counts, quantiles within 2^-6 relative
+//     error at the default layout.
 //
 // Thread safety. The simulation kernel is single-threaded, but offline
-// work (the parallel tuner searcher, core::ThreadPool::parallel_for
-// callers) records from worker threads, so recording is safe under
-// concurrent writers and loses no updates:
-//
-//   * Counter / Gauge — lock-free atomics (relaxed ordering; totals are
-//     exact, cross-metric ordering is unspecified);
-//   * ShardedCounter / ShardedGauge — per-thread slab cells (plain
-//     stores, no atomics at all) merged at read; exact totals once the
-//     writers have joined, following the ShardedHdrHistogram rule;
-//   * Histogram — a per-histogram mutex around record() and the
-//     accessors (the P² marker update is a read-modify-write over five
-//     correlated arrays and cannot be usefully sharded);
-//   * MetricsRegistry — a registry mutex around find-or-create and
-//     snapshot(). Handle *resolution* may lock; recording through a
-//     resolved Counter/Gauge handle never does.
+// work (the parallel tuner searcher, the fleet simulator, replicate
+// workers) records from worker threads. Counters and histograms write a
+// private per-thread shard — plain stores, no atomics, no locks, no
+// false sharing — and merge at read (value(), merged(), snapshot()).
+// Integer addition and HdrHistogram::merge are commutative and
+// associative, so merged results are bit-identical for every thread
+// count and scheduling. Reads are exact once the writers have joined
+// (core::ThreadPool::parallel_for joins before returning); shard writes
+// are not synchronized with a concurrent merge. Gauge::set is a relaxed
+// atomic store. The registry mutex guards find-or-create and snapshot();
+// recording through a resolved handle never takes it.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -58,41 +56,97 @@ namespace mntp::obs {
 /// key so label order at the call site does not create distinct series.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonic event count. Lock-free: concurrent inc() calls never lose
-/// updates (relaxed atomics — exact totals, no ordering guarantee).
+/// The per-thread shards behind every Counter and Histogram of one
+/// registry. Each thread that records gets ONE slab — a dense array of
+/// counter cells plus one lazily built HdrHistogram per histogram —
+/// shared by all that registry's metrics; a handle is just {slab set,
+/// index}. The hot path resolves this thread's slab through a
+/// thread-local cache keyed by instance id (one compare in the common
+/// one-registry case), bounds-checks the index and writes the shard.
+/// Slab creation, growth (a handle registered after this thread's slab
+/// was built) and histogram shard creation take the mutex; merged reads
+/// take it too.
+class MetricShardSlabs {
+ public:
+  MetricShardSlabs();
+  MetricShardSlabs(const MetricShardSlabs&) = delete;
+  MetricShardSlabs& operator=(const MetricShardSlabs&) = delete;
+
+  void counter_add(std::size_t index, std::uint64_t n) {
+    Slab& s = slab_for_this_thread();
+    if (index >= s.counters.size()) grow(s);
+    s.counters[index] += n;
+  }
+  void histogram_record(std::size_t index,
+                        const HdrHistogram::Options& options, double v) {
+    Slab& s = slab_for_this_thread();
+    if (index >= s.histograms.size() || !s.histograms[index]) {
+      add_histogram_shard(s, index, options);
+    }
+    s.histograms[index]->record(v);
+  }
+
+  [[nodiscard]] std::uint64_t merged_counter(std::size_t index) const;
+  [[nodiscard]] HdrHistogram merged_histogram(
+      std::size_t index, const HdrHistogram::Options& options) const;
+
+  /// Reserve the next index (registration path, rare).
+  [[nodiscard]] std::size_t allocate_counter();
+  [[nodiscard]] std::size_t allocate_histogram();
+
+ private:
+  struct Slab {
+    std::vector<std::uint64_t> counters;
+    std::vector<std::unique_ptr<HdrHistogram>> histograms;  // null = unused
+  };
+
+  Slab& slab_for_this_thread();
+  /// Resize the calling thread's slab to the registered counts. Only the
+  /// owning thread touches its cells, so the realloc cannot race the hot
+  /// path; merged reads serialize on mutex_.
+  void grow(Slab& slab);
+  void add_histogram_shard(Slab& slab, std::size_t index,
+                           const HdrHistogram::Options& options);
+
+  /// Distinguishes this instance from a destroyed one reusing the same
+  /// address, so stale thread-local cache entries never resolve.
+  std::uint64_t instance_id_;
+  mutable std::mutex mutex_;
+  std::size_t counter_count_ = 0;    // guarded by mutex_
+  std::size_t histogram_count_ = 0;  // guarded by mutex_
+  std::vector<std::unique_ptr<Slab>> slabs_;
+};
+
+/// Monotonic event count: inc() adds to this thread's cell, value() sums
+/// the cells (exact once writers have joined).
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
     if (enabled_->load(std::memory_order_relaxed)) {
-      value_.fetch_add(n, std::memory_order_relaxed);
+      slabs_->counter_add(index_, n);
     }
   }
   [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    return slabs_->merged_counter(index_);
   }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Counter(const std::atomic<bool>* enabled, MetricShardSlabs* slabs,
+          std::size_t index)
+      : enabled_(enabled), slabs_(slabs), index_(index) {}
   const std::atomic<bool>* enabled_;
-  std::atomic<std::uint64_t> value_{0};
+  MetricShardSlabs* slabs_;
+  std::size_t index_;
 };
 
-/// Last-written instantaneous value. Lock-free; add() is a CAS loop so
-/// concurrent deltas all land (set() racing add() keeps one
-/// serialization, as for any last-writer-wins gauge).
+/// Last-written instantaneous value. Lock-free; concurrent set() calls
+/// keep one of the written values.
 class Gauge {
  public:
   void set(double v) {
     if (enabled_->load(std::memory_order_relaxed)) {
       value_.store(v, std::memory_order_relaxed);
-    }
-  }
-  void add(double d) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d,
-                                         std::memory_order_relaxed)) {
     }
   }
   [[nodiscard]] double value() const {
@@ -106,206 +160,34 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-class MetricShardSlabs;
-
-/// Sharded monotonic counter: the fleet-scale complement to Counter.
-/// Counter's single atomic is exact but CONTENDED — at 10⁵+ clients
-/// spread over a thread pool every inc() bounces one cache line between
-/// cores. ShardedCounter instead writes a per-thread slab cell (see
-/// MetricShardSlabs): a plain uncontended store, no RMW, no sharing.
-/// value() sums the cells; integer addition is commutative and
-/// associative, so the merged total is bit-identical for any thread
-/// count and any scheduling — the same merge rule ShardedHdrHistogram
-/// relies on. Reads are only exact after parallel sections have joined
-/// (cell writes are not synchronized with the merge, the rule
-/// obs/hdr_histogram.h documents for merged()).
-class ShardedCounter {
- public:
-  void inc(std::uint64_t n = 1);
-  /// Sum over every thread's cell. Exact once writers have joined.
-  [[nodiscard]] std::uint64_t value() const;
-
- private:
-  friend class MetricsRegistry;
-  ShardedCounter(const std::atomic<bool>* enabled, MetricShardSlabs* slabs,
-                 std::size_t index)
-      : enabled_(enabled), slabs_(slabs), index_(index) {}
-  const std::atomic<bool>* enabled_;
-  MetricShardSlabs* slabs_;
-  std::size_t index_;
-};
-
-/// Sharded additive gauge: per-thread double cells summed at read. Unlike
-/// Gauge there is no set() — last-writer-wins has no meaning when every
-/// thread owns a private cell — so this is an accumulator exported with
-/// gauge semantics (the registry snapshots it as Kind::kGauge). The
-/// merge sums the per-thread partials in ascending value order, which
-/// makes the result independent of thread arrival order for a given
-/// partition; it is bit-identical across thread COUNTS when the deltas
-/// are integral (or any sum where IEEE addition is exact), the same
-/// restriction that led obs/hdr_histogram.h to ban FP accumulators.
-class ShardedGauge {
- public:
-  void add(double d);
-  /// Sum of every thread's partial, ascending-value order.
-  [[nodiscard]] double value() const;
-
- private:
-  friend class MetricsRegistry;
-  ShardedGauge(const std::atomic<bool>* enabled, MetricShardSlabs* slabs,
-               std::size_t index)
-      : enabled_(enabled), slabs_(slabs), index_(index) {}
-  const std::atomic<bool>* enabled_;
-  MetricShardSlabs* slabs_;
-  std::size_t index_;
-};
-
-/// The per-thread slab backing every ShardedCounter/ShardedGauge of one
-/// registry. Each thread that records gets ONE slab (two dense arrays,
-/// uint64 counter cells and double gauge cells) shared by all that
-/// registry's sharded metrics; a handle is just {slab set, cell index}.
-/// The hot path resolves this thread's slab through a thread-local
-/// cache (one owner/instance compare — the ShardedHdrHistogram idiom,
-/// amortized O(1)), bounds-checks the cell and does a plain `+=`:
-/// no atomics, no locks, no false sharing between threads. Slab
-/// creation and growth (a handle registered after this thread's slab
-/// was built) take the mutex; merged reads take it too and sum cells.
-class MetricShardSlabs {
- public:
-  MetricShardSlabs();
-  MetricShardSlabs(const MetricShardSlabs&) = delete;
-  MetricShardSlabs& operator=(const MetricShardSlabs&) = delete;
-
-  void counter_add(std::size_t index, std::uint64_t n) {
-    Slab& s = slab_for_this_thread();
-    if (index >= s.counters.size()) grow(s);
-    s.counters[index] += n;
-  }
-  void gauge_add(std::size_t index, double d) {
-    Slab& s = slab_for_this_thread();
-    if (index >= s.gauges.size()) grow(s);
-    s.gauges[index] += d;
-  }
-
-  [[nodiscard]] std::uint64_t merged_counter(std::size_t index) const;
-  [[nodiscard]] double merged_gauge(std::size_t index) const;
-
-  /// Reserve the next cell index (registration path, rare).
-  [[nodiscard]] std::size_t allocate_counter();
-  [[nodiscard]] std::size_t allocate_gauge();
-
- private:
-  struct Slab {
-    std::vector<std::uint64_t> counters;
-    std::vector<double> gauges;
-  };
-
-  Slab& slab_for_this_thread();
-  /// Resize the calling thread's slab to the registered cell counts.
-  /// Only the owning thread touches its cells, so the realloc cannot
-  /// race the hot path; merged reads serialize on mutex_.
-  void grow(Slab& slab);
-
-  /// Distinguishes this instance from a destroyed one reusing the same
-  /// address, so stale thread-local cache entries never resolve.
-  std::uint64_t instance_id_;
-  mutable std::mutex mutex_;
-  std::size_t counter_count_ = 0;  // guarded by mutex_
-  std::size_t gauge_count_ = 0;    // guarded by mutex_
-  std::vector<std::unique_ptr<Slab>> slabs_;
-};
-
-inline void ShardedCounter::inc(std::uint64_t n) {
-  if (enabled_->load(std::memory_order_relaxed)) {
-    slabs_->counter_add(index_, n);
-  }
-}
-
-inline std::uint64_t ShardedCounter::value() const {
-  return slabs_->merged_counter(index_);
-}
-
-inline void ShardedGauge::add(double d) {
-  if (enabled_->load(std::memory_order_relaxed)) {
-    slabs_->gauge_add(index_, d);
-  }
-}
-
-inline double ShardedGauge::value() const {
-  return slabs_->merged_gauge(index_);
-}
-
-/// P-squared (P²) streaming quantile estimator (Jain & Chlamtac, 1985):
-/// tracks one quantile of a stream in O(1) memory and O(1) per sample by
-/// maintaining five markers whose heights follow a piecewise-parabolic
-/// interpolation of the empirical CDF. Exact for the first five samples.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  /// Current estimate; exact order statistic while n <= 5.
-  [[nodiscard]] double estimate() const;
-  [[nodiscard]] std::size_t count() const { return n_; }
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  std::array<double, 5> height_{};    // marker heights (sample values)
-  std::array<double, 5> pos_{};       // actual marker positions (1-based)
-  std::array<double, 5> desired_{};   // desired marker positions
-  std::array<double, 5> incr_{};      // desired-position increments
-};
-
-struct HistogramOptions {
-  /// Ascending upper bounds of the finite buckets; an implicit +inf
-  /// overflow bucket is always appended.
-  std::vector<double> bucket_bounds;
-
-  /// Geometric bucket ladder: {start, start*factor, ...} (count bounds).
-  static HistogramOptions exponential(double start, double factor,
-                                      std::size_t count);
-  /// Default ladder for latency-style metrics in milliseconds:
-  /// 0.25 ms .. ~4 s in x2 steps (15 finite buckets).
-  static HistogramOptions latency_ms();
-};
-
-/// Fixed-bucket histogram + streaming p50/p90/p99 + running moments.
-/// record() and the accessors serialize on a per-histogram mutex, so
-/// concurrent recorders lose no samples and readers see consistent state.
+/// Distribution of recorded values: record() writes this thread's
+/// HdrHistogram shard, merged() combines the shards. The merged result is
+/// identical for every thread count and interleaving.
 class Histogram {
  public:
-  void record(double v);
-
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double p50() const;
-  [[nodiscard]] double p90() const;
-  [[nodiscard]] double p99() const;
-
-  /// Finite buckets plus the trailing overflow bucket.
-  [[nodiscard]] std::size_t bucket_count() const;
-  /// Upper bound of bucket i; +inf for the last (overflow) bucket.
-  [[nodiscard]] double bucket_bound(std::size_t i) const;
-  [[nodiscard]] std::uint64_t bucket_value(std::size_t i) const;
+  void record(double v) {
+    if (enabled_->load(std::memory_order_relaxed)) {
+      slabs_->histogram_record(index_, options_, v);
+    }
+  }
+  /// Every shard merged into one histogram; call after parallel sections
+  /// have joined.
+  [[nodiscard]] HdrHistogram merged() const {
+    return slabs_->merged_histogram(index_, options_);
+  }
+  [[nodiscard]] const HdrHistogram::Options& options() const {
+    return options_;
+  }
 
  private:
   friend class MetricsRegistry;
-  Histogram(HistogramOptions options, const std::atomic<bool>* enabled);
+  Histogram(const std::atomic<bool>* enabled, MetricShardSlabs* slabs,
+            std::size_t index, HdrHistogram::Options options)
+      : enabled_(enabled), slabs_(slabs), index_(index), options_(options) {}
   const std::atomic<bool>* enabled_;
-  mutable std::mutex mutex_;
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 (overflow)
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  P2Quantile p50_{0.50};
-  P2Quantile p90_{0.90};
-  P2Quantile p99_{0.99};
+  MetricShardSlabs* slabs_;
+  std::size_t index_;
+  HdrHistogram::Options options_;
 };
 
 /// Point-in-time copy of one metric, for export (see obs/report.h).
@@ -326,7 +208,8 @@ struct MetricSnapshot {
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
-  /// (upper bound, count) per bucket; the final bound is +inf.
+  /// (upper bound, count) per non-empty bucket, ascending; the final
+  /// bound is +inf.
   std::vector<std::pair<double, std::uint64_t>> buckets;
 };
 
@@ -337,29 +220,12 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Find-or-create. Returned pointers stay valid for the registry's
-  /// lifetime; call once at setup and record through the handle.
+  /// lifetime; call once at setup and record through the handle. A
+  /// histogram keeps the layout it was first registered with.
   Counter* counter(std::string_view name, Labels labels = {});
   Gauge* gauge(std::string_view name, Labels labels = {});
   Histogram* histogram(std::string_view name,
-                       HistogramOptions options = HistogramOptions::latency_ms(),
-                       Labels labels = {});
-  /// Mergeable alternative to histogram() (see obs/hdr_histogram.h):
-  /// exact log-linear bucket counts, per-thread shards merged at
-  /// snapshot(), so the hot path never takes the per-histogram mutex the
-  /// P² markers require. Choose this for distributions that must be
-  /// aggregated across replicates/shards; choose histogram() when the
-  /// named P² percentiles and hand-picked bucket bounds matter more.
-  ShardedHdrHistogram* hdr_histogram(std::string_view name,
-                                     HdrHistogramOptions options = {},
-                                     Labels labels = {});
-  /// Sharded alternatives to counter()/gauge() for series that hot loops
-  /// increment from many threads: per-thread slab cells, merged at
-  /// snapshot() (exported as plain counter/gauge snapshots, so the
-  /// report schema does not change). Do NOT register the same
-  /// name+labels through both counter() and sharded_counter() — they
-  /// are distinct stores and would export duplicate series.
-  ShardedCounter* sharded_counter(std::string_view name, Labels labels = {});
-  ShardedGauge* sharded_gauge(std::string_view name, Labels labels = {});
+                       HdrHistogram::Options options = {}, Labels labels = {});
 
   /// Disable/enable all recording (handles stay valid; records become a
   /// single branch). Used to measure instrumentation overhead.
@@ -372,7 +238,8 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const;
 
-  /// Snapshot every metric, ordered by (name, labels).
+  /// Snapshot every metric, ordered by (name, labels). Counters and
+  /// histograms merge their shards here.
   [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
 
  private:
@@ -385,17 +252,14 @@ class MetricsRegistry {
     }
   };
 
-  static Labels normalize(Labels labels);
+  static Key make_key(std::string_view name, Labels labels);
 
   std::atomic<bool> enabled_{true};
   mutable std::mutex mutex_;  // guards the maps, not the metric values
-  MetricShardSlabs slabs_;    // cells behind every sharded counter/gauge
+  MetricShardSlabs slabs_;    // shards behind every counter and histogram
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
-  std::map<Key, std::unique_ptr<ShardedHdrHistogram>> hdr_histograms_;
-  std::map<Key, std::unique_ptr<ShardedCounter>> sharded_counters_;
-  std::map<Key, std::unique_ptr<ShardedGauge>> sharded_gauges_;
 };
 
 }  // namespace mntp::obs

@@ -49,17 +49,9 @@ std::int64_t Profiler::now_ns() const {
 void Profiler::record(const SpanRecord& span) {
   std::lock_guard<std::mutex> lock(mutex_);
   Aggregate& agg = aggregates_[span.name];
-  if (agg.count == 0) {
-    agg.min_ns = span.dur_ns;
-    agg.max_ns = span.dur_ns;
-  } else {
-    agg.min_ns = std::min(agg.min_ns, span.dur_ns);
-    agg.max_ns = std::max(agg.max_ns, span.dur_ns);
-  }
-  ++agg.count;
   agg.total_ns += span.dur_ns;
   agg.self_ns += span.self_ns;
-  agg.p50.add(static_cast<double>(span.dur_ns));
+  agg.durations.record(static_cast<double>(span.dur_ns));
 
   if (records_.size() < options_.max_records) {
     records_.push_back(span);
@@ -78,13 +70,14 @@ std::vector<Profiler::SpanStats> Profiler::stats() const {
   std::vector<SpanStats> out;
   out.reserve(aggregates_.size());
   for (const auto& [name, agg] : aggregates_) {
+    const HdrHistogram& d = agg.durations;
     out.push_back(SpanStats{.name = name,
-                            .count = agg.count,
+                            .count = d.count(),
                             .total_ns = agg.total_ns,
                             .self_ns = agg.self_ns,
-                            .min_ns = agg.min_ns,
-                            .max_ns = agg.max_ns,
-                            .p50_ns = agg.p50.estimate()});
+                            .min_ns = static_cast<std::int64_t>(d.min()),
+                            .max_ns = static_cast<std::int64_t>(d.max()),
+                            .p50_ns = d.quantile(0.5)});
   }
   return out;  // std::map iteration is already name-sorted
 }

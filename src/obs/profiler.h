@@ -54,6 +54,7 @@
 
 #include "core/result.h"
 #include "core/time.h"
+#include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 
 namespace mntp::obs {
@@ -82,7 +83,7 @@ class Profiler {
     std::int64_t self_ns = 0;
     std::int64_t min_ns = 0;
     std::int64_t max_ns = 0;
-    double p50_ns = 0.0;  ///< streaming (P²) median of span durations
+    double p50_ns = 0.0;  ///< median span duration, within the HDR bound
   };
 
   struct Options {
@@ -132,12 +133,12 @@ class Profiler {
 
  private:
   struct Aggregate {
-    std::uint64_t count = 0;
     std::int64_t total_ns = 0;
     std::int64_t self_ns = 0;
-    std::int64_t min_ns = 0;
-    std::int64_t max_ns = 0;
-    P2Quantile p50{0.5};
+    /// Span durations in ns (1 ns .. ~2.8 h): exact count and extrema,
+    /// p50 within the 2^-6 HDR bound.
+    HdrHistogram durations{
+        HdrHistogram::Options{.min_magnitude = 1.0, .max_magnitude = 1e13}};
   };
 
   std::atomic<bool> enabled_{false};

@@ -162,21 +162,13 @@ ProbeHandle TimeSeriesRecorder::probe(std::string_view name, Labels labels,
 ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
                                               Labels labels,
                                               const Counter* counter) {
+  // Not capturing: return before value(), whose merge would read other
+  // threads' shards (tuner workers build engines while others record).
+  if (!capturing()) return {};
   // The delta computation needs per-registration state; stash the counter
   // pointer in the closure and the previous reading in the registration
   // (updated by sample()). The closure returns the RAW value; sample()
   // differences it.
-  return register_probe(
-      name, std::move(labels), "counter",
-      [counter](core::TimePoint) -> std::optional<double> {
-        return static_cast<double>(counter->value());
-      },
-      counter->value());
-}
-
-ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
-                                              Labels labels,
-                                              const ShardedCounter* counter) {
   return register_probe(
       name, std::move(labels), "counter",
       [counter](core::TimePoint) -> std::optional<double> {

@@ -184,13 +184,11 @@ class TimeSeriesRecorder {
   /// suffix).
   ProbeHandle probe(std::string_view name, Labels labels, Probe fn);
   /// Samples the counter's per-interval DELTA (0 on the first sample).
+  /// Reads the merged total; the sampler runs on the simulation thread,
+  /// which owns all writes in a single-threaded sim, so the delta is
+  /// exact there.
   ProbeHandle counter_probe(std::string_view name, Labels labels,
                             const Counter* counter);
-  /// Same, over a sharded counter (reads the merged total; the sampler
-  /// runs on the simulation thread, which owns all writes in a
-  /// single-threaded sim, so the delta is exact there).
-  ProbeHandle counter_probe(std::string_view name, Labels labels,
-                            const ShardedCounter* counter);
   /// Samples the gauge's current value.
   ProbeHandle gauge_probe(std::string_view name, Labels labels,
                           const Gauge* gauge);

@@ -14,7 +14,6 @@
 //     default for tests and for bench run reports;
 //   * JsonlTraceSink — one JSON object per line on an ostream (the run
 //     report interchange format, see obs/report.h for the schema);
-//   * CsvTraceSink   — flat CSV for spreadsheet-style inspection;
 //   * NullSink       — discards everything (overhead measurement).
 #pragma once
 
@@ -52,9 +51,6 @@ struct TraceEvent {
 /// Render one event as a single-line JSON object:
 /// {"type":"event","t_ns":...,"category":"..","name":"..","fields":{..}}
 [[nodiscard]] std::string to_jsonl_line(const TraceEvent& e);
-
-/// Render one event as a CSV row: t_ns,category,name,"k=v;k=v".
-[[nodiscard]] std::string to_csv_line(const TraceEvent& e);
 
 class TraceSink {
  public:
@@ -98,21 +94,6 @@ class JsonlTraceSink final : public TraceSink {
   explicit JsonlTraceSink(std::ostream& out) : out_(out) {}
   void on_event(const TraceEvent& event) override {
     out_ << to_jsonl_line(event) << '\n';
-  }
-  void flush() override { out_.flush(); }
-
- private:
-  std::ostream& out_;
-};
-
-/// Header + one row per event; the stream must outlive the sink.
-class CsvTraceSink final : public TraceSink {
- public:
-  explicit CsvTraceSink(std::ostream& out) : out_(out) {
-    out_ << "t_ns,category,name,fields\n";
-  }
-  void on_event(const TraceEvent& event) override {
-    out_ << to_csv_line(event) << '\n';
   }
   void flush() override { out_.flush(); }
 

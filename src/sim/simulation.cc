@@ -5,25 +5,12 @@
 
 namespace mntp::sim {
 
-namespace {
-
-/// Queue depths are small integers; linear-ish low buckets then doubling.
-obs::HistogramOptions queue_depth_buckets() {
-  return obs::HistogramOptions{.bucket_bounds = {1, 2, 4, 8, 16, 32, 64, 128,
-                                                 256, 512, 1024}};
-}
-
-}  // namespace
-
 Simulation::Simulation()
     : telemetry_(&obs::Telemetry::global()),
       dispatched_counter_(telemetry_->metrics().counter(
           obs::metric_names::kSimEventsDispatched)),
       queue_depth_(telemetry_->metrics().histogram(
-          obs::metric_names::kSimQueueDepth, queue_depth_buckets())),
-      run_until_span_(
-          obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRunUntil)),
-      run_span_(obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRun)) {
+          obs::metric_names::kSimQueueDepth)) {
   bind_timeline();
 }
 
@@ -31,11 +18,8 @@ void Simulation::set_telemetry(obs::Telemetry& telemetry) {
   telemetry_ = &telemetry;
   dispatched_counter_ =
       telemetry_->metrics().counter(obs::metric_names::kSimEventsDispatched);
-  queue_depth_ = telemetry_->metrics().histogram(
-      obs::metric_names::kSimQueueDepth, queue_depth_buckets());
-  run_until_span_ =
-      obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRunUntil);
-  run_span_ = obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRun);
+  queue_depth_ =
+      telemetry_->metrics().histogram(obs::metric_names::kSimQueueDepth);
   sampler_event_.cancel();
   bind_timeline();
 }
@@ -89,10 +73,9 @@ void Simulation::dispatch_next() {
 
 void Simulation::run_until(core::TimePoint deadline) {
   obs::ProfileScope profile(obs::spans::kSimRunUntil, now_);
-  obs::SpanTimer span(run_until_span_, now_);
   arm_sampler(deadline);
   // The dispatch count is batched into one counter update per run call:
-  // per-event atomic increments are measurable on the churn bench, and
+  // per-event increments are measurable on the churn bench, and
   // nothing observes the counter mid-run (the loop never yields).
   const std::uint64_t before = executed_;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
@@ -100,18 +83,15 @@ void Simulation::run_until(core::TimePoint deadline) {
   }
   dispatched_counter_->inc(executed_ - before);
   if (deadline > now_) now_ = deadline;
-  span.finish(now_);
 }
 
 void Simulation::run() {
   obs::ProfileScope profile(obs::spans::kSimRun, now_);
-  obs::SpanTimer span(run_span_, now_);
   const std::uint64_t before = executed_;
   while (!queue_.empty()) {
     dispatch_next();
   }
   dispatched_counter_->inc(executed_ - before);
-  span.finish(now_);
 }
 
 void PeriodicProcess::start(core::Duration initial_delay) {

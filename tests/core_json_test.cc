@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace mntp::core {
 namespace {
 
@@ -88,6 +90,24 @@ TEST(Json, ErrorsCarryOffset) {
   const auto r = Json::parse("[1, oops]");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("offset"), std::string::npos);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  // At the bound: parses, for arrays and objects alike.
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth, '[', ']')).ok());
+  std::string objects;
+  for (std::size_t i = 0; i < Json::kMaxDepth; ++i) objects += "{\"k\":";
+  EXPECT_TRUE(Json::parse(objects + "1" + std::string(Json::kMaxDepth, '}')).ok());
+  // One past the bound: an error naming the cause, not a deeper descent.
+  const auto r = Json::parse(nested(Json::kMaxDepth + 1, '[', ']'));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("nesting too deep"), std::string::npos);
+  // Hostile input far past the bound fails fast instead of overflowing
+  // the stack.
+  EXPECT_FALSE(Json::parse(std::string(1 << 20, '[')).ok());
 }
 
 TEST(Json, CopiesShareStorageCheaply) {

@@ -131,7 +131,7 @@ TEST(HdrHistogram, MergeIsCommutativeAndAssociativeBitForBit) {
 
 TEST(HdrHistogram, MergeRejectsLayoutMismatch) {
   HdrHistogram a;
-  HdrHistogram b(HdrHistogramOptions{.sub_bucket_bits = 6});
+  HdrHistogram b(HdrHistogram::Options{.sub_bucket_bits = 6});
   EXPECT_FALSE(a.same_layout(b));
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
@@ -150,25 +150,25 @@ TEST(HdrHistogram, BucketsAscendAndSumToCount) {
   EXPECT_EQ(total, h.count());
 }
 
-TEST(HdrHistogram, AgreesWithP2OnSmoothStream) {
-  // The two estimators answer the same question with different error
-  // models; on a well-behaved stream they must agree to a few percent.
+TEST(HdrHistogram, TracksExactQuantilesOnSmoothStream) {
+  // The registry's p50/p90/p99 come from this reconstruction: on a
+  // well-behaved stream each stays within the 2^-6 bucket bound of the
+  // exact order statistic.
   HdrHistogram hdr;
-  P2Quantile p2(0.9);
   core::Rng rng(23);
   std::vector<double> xs;
   for (int i = 0; i < 20000; ++i) {
     const double v = rng.lognormal(1.0, 0.8);
     xs.push_back(v);
     hdr.record(v);
-    p2.add(v);
   }
-  const double exact = exact_quantile(xs, 0.9);
-  EXPECT_NEAR(hdr.quantile(0.9), exact, exact * 0.04);
-  EXPECT_NEAR(p2.estimate(), exact, exact * 0.08);
+  for (double q : {0.5, 0.9, 0.99}) {
+    const double exact = exact_quantile(xs, q);
+    EXPECT_NEAR(hdr.quantile(q), exact, exact / 64.0) << "q=" << q;
+  }
 }
 
-TEST(ShardedHdrHistogram, ThreadCountDoesNotChangeMergedResult) {
+TEST(Histogram, ThreadCountDoesNotChangeMergedResult) {
   // The same multiset of samples recorded under different parallelism
   // must produce the same merged histogram — the property the replicated
   // benches rely on for --threads invariance.
@@ -179,7 +179,7 @@ TEST(ShardedHdrHistogram, ThreadCountDoesNotChangeMergedResult) {
   std::vector<HdrHistogram> merged;
   for (std::size_t workers : {1u, 4u}) {
     MetricsRegistry reg;
-    ShardedHdrHistogram* sh = reg.hdr_histogram("t");
+    Histogram* sh = reg.histogram("t");
     core::ThreadPool pool(workers);
     pool.parallel_for(0, 8, [&](std::size_t slot) {
       for (std::size_t i = slot; i < xs.size(); i += 8) sh->record(xs[i]);
@@ -190,14 +190,13 @@ TEST(ShardedHdrHistogram, ThreadCountDoesNotChangeMergedResult) {
   EXPECT_EQ(merged[0].count(), xs.size());
 }
 
-TEST(ShardedHdrHistogram, RegistrySnapshotExportsQuantiles) {
+TEST(Histogram, RegistrySnapshotExportsQuantiles) {
   MetricsRegistry reg;
-  ShardedHdrHistogram* sh =
-      reg.hdr_histogram("ntp.owd", {}, {{"dir", "up"}});
+  Histogram* sh = reg.histogram("ntp.owd", {}, {{"dir", "up"}});
   for (int i = 1; i <= 100; ++i) sh->record(static_cast<double>(i));
   // Same (name, labels) returns the same handle; a different layout for
   // an existing name is a programming error.
-  EXPECT_EQ(sh, reg.hdr_histogram("ntp.owd", {}, {{"dir", "up"}}));
+  EXPECT_EQ(sh, reg.histogram("ntp.owd", {}, {{"dir", "up"}}));
 
   bool found = false;
   for (const auto& s : reg.snapshot()) {

@@ -164,9 +164,9 @@ TEST(Profiler, StatsAggregateMatchesRecords) {
 
 TEST(Profiler, RecordCapCountsDroppedButKeepsAggregates) {
   Profiler profiler(Profiler::Options{.max_records = 4});
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 1; i <= 10; ++i) {
     profiler.record(Profiler::SpanRecord{
-        .name = "test.cap", .tid = 1, .dur_ns = 100, .self_ns = 100});
+        .name = "test.cap", .tid = 1, .dur_ns = 100 * i, .self_ns = 100 * i});
   }
   EXPECT_EQ(profiler.records().size(), 4u);
   EXPECT_EQ(profiler.dropped(), 6u);
@@ -174,6 +174,10 @@ TEST(Profiler, RecordCapCountsDroppedButKeepsAggregates) {
   const auto stats = profiler.stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].count, 10u);  // aggregates see every span
+  EXPECT_EQ(stats[0].max_ns, 1000);
+  // The median of 100..1000 ns (nearest rank: 500) counts the dropped
+  // spans too, within the 2^-6 HDR bucket bound.
+  EXPECT_NEAR(stats[0].p50_ns, 500.0, 500.0 / 64.0);
 }
 
 TEST(Profiler, ExportToMetricsPublishesGauges) {

@@ -190,6 +190,24 @@ std::size_t parse_size_flag(int argc, char** argv, const char* flag,
   return static_cast<std::size_t>(n);
 }
 
+double parse_double_flag(int argc, char** argv, const char* flag,
+                         double def) {
+  const std::string value = parse_flag(argc, argv, flag);
+  if (value.empty()) return def;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  // strtod skips leading spaces and accepts "inf"/"nan"; demand the whole
+  // string parse to a finite value.
+  if (std::isspace(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || !std::isfinite(v)) {
+    std::fprintf(stderr, "usage: %s: %s needs a number, got '%s'\n", argv[0],
+                 flag, value.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 bool parse_bool_flag(int argc, char** argv, const char* flag) {
   const std::size_t flag_len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {

@@ -143,6 +143,11 @@ std::string parse_flag(int argc, char** argv, const char* flag);
 std::size_t parse_size_flag(int argc, char** argv, const char* flag,
                             std::size_t def);
 
+/// parse_flag for finite floating-point values; `def` when absent. A
+/// malformed value ("3x", "abc", "inf", " 1") prints a usage error and
+/// exits 2.
+double parse_double_flag(int argc, char** argv, const char* flag, double def);
+
 /// True when the bare flag is present (`--flag`; `--flag=anything` also
 /// counts). For switches that carry no value.
 bool parse_bool_flag(int argc, char** argv, const char* flag);

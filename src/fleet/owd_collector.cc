@@ -63,7 +63,6 @@ void OwdCollector::record(std::size_t slot, Speaker speaker,
   Slot& local = slots_[slot];
   if (owd_ms < valid_min_ms_ || owd_ms > valid_max_ms_) {
     ++local.invalid;
-    reg_invalid_->inc();
     return;
   }
   const auto sp = static_cast<std::size_t>(speaker);
@@ -72,8 +71,6 @@ void OwdCollector::record(std::size_t slot, Speaker speaker,
   ++local.valid;
   local.by_class[sp][pop].record(owd_ms);
   local.by_category[cat].record(owd_ms);
-  reg_class_[sp][pop]->record(owd_ms);
-  reg_category_[cat]->record(owd_ms);
 }
 
 OwdCollector::Summary OwdCollector::merged() const {
@@ -95,6 +92,18 @@ OwdCollector::Summary OwdCollector::merged() const {
     }
   }
   return out;
+}
+
+void OwdCollector::publish(const Summary& summary) const {
+  for (std::size_t sp = 0; sp < 2; ++sp) {
+    for (std::size_t pop = 0; pop < 2; ++pop) {
+      reg_class_[sp][pop]->merge(summary.by_class[sp][pop]);
+    }
+  }
+  for (std::size_t cat = 0; cat < 4; ++cat) {
+    reg_category_[cat]->merge(summary.by_category[cat]);
+  }
+  reg_invalid_->inc(summary.invalid);
 }
 
 }  // namespace mntp::fleet

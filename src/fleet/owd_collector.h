@@ -1,14 +1,18 @@
 // Per-(speaker, population) and per-provider-category OWD aggregation.
 //
-// Two consumers, two stores:
+// Two consumers, one store:
 //
-//   * the obs registry — fleet.owd_ms{speaker,population} and
-//     fleet.category_owd_ms{category} obs::Histograms (plus
-//     the fleet.owd.invalid counter), so the fleet's distributions land
-//     in run reports next to every other layer's metrics;
 //   * per-slot local HdrHistograms — one slot per server, written only
 //     by that server's Phase-B task (disjoint, no synchronization), and
-//     merged in fixed slot order into a Summary after the run joins.
+//     merged in fixed slot order into a Summary after the run joins;
+//   * the obs registry — fleet.owd_ms{speaker,population} and
+//     fleet.category_owd_ms{category} obs::Histograms plus the
+//     fleet.owd.invalid counter, so the fleet's distributions land in
+//     run reports next to every other layer's metrics. publish() feeds
+//     them from the merged Summary once per run: the registry and the
+//     local slots share one layout, so the registry ends with exactly
+//     the counts per-sample recording would give, without a second
+//     histogram write per query.
 //
 // The Summary is what FleetResult carries: it reflects exactly one run
 // (the registry accumulates across a process's runs) and supports exact
@@ -59,6 +63,10 @@ class OwdCollector {
   /// Merge every slot (fixed slot order) into one Summary.
   [[nodiscard]] Summary merged() const;
 
+  /// Add `summary` (normally merged()) to the registry series bound at
+  /// construction: histograms by merge, `invalid` to fleet.owd.invalid.
+  void publish(const Summary& summary) const;
+
  private:
   struct Slot {
     std::array<std::array<obs::HdrHistogram, 2>, 2> by_class;
@@ -71,7 +79,7 @@ class OwdCollector {
   double valid_min_ms_;
   double valid_max_ms_;
   std::vector<Slot> slots_;
-  // Registry handles (shared across slots; thread-safe).
+  // Registry handles, written only by publish().
   std::array<std::array<obs::Histogram*, 2>, 2> reg_class_{};
   std::array<obs::Histogram*, 4> reg_category_{};
   obs::Counter* reg_invalid_ = nullptr;

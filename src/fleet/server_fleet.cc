@@ -51,24 +51,39 @@ void ServerFleet::process_slice(std::size_t server,
   State& st = state_[server];
   const std::uint64_t server_seed =
       core::derive_stream_seed(seed_root_, server);
-  std::uint64_t slice_requests = 0;
-  for (const ArrivalRecord& a : arrivals) {
-    ++st.totals.requests;
-    requests_counter_[server]->inc();
+  const std::uint8_t* traits = fleet.traits().data();
+  const std::uint8_t* provider = fleet.provider().data();
+  // This call's tallies; added to st.totals and the registry once, after
+  // the loop.
+  ServerTotals slice;
+  const std::size_t n = arrivals.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    // Arrival j of this slice is a KoD exactly when j >= kod_limit_, so
+    // the look-ahead fetches the one column that arrival will touch:
+    // its interval (KoD) or its traits + provider (OWD record).
+    if (const std::size_t j = k + kServerLookahead; j < n) {
+      const std::uint32_t ahead = arrivals[j].client;
+      if (j >= kod_limit_) {
+        __builtin_prefetch(&interval_ns[ahead], 1);
+      } else {
+        __builtin_prefetch(&traits[ahead]);
+        __builtin_prefetch(&provider[ahead]);
+      }
+    }
+    const ArrivalRecord& a = arrivals[k];
+    ++slice.requests;
     // Batching: a new batch window opens a new batch. The cursor
     // persists across slices so a window straddling a slice boundary is
     // still one batch.
     const std::uint64_t batch = a.arrive_ns / batch_window_ns_;
     if (batch != st.prev_batch) {
       st.prev_batch = batch;
-      ++st.totals.batches;
-      batches_counter_->inc();
+      ++slice.batches;
     }
     // KoD rate limit: over-limit requests get no time response; the
     // client backs off its poll interval (capped).
-    if (++slice_requests > kod_limit_) {
-      ++st.totals.kod;
-      kod_counter_->inc();
+    if (slice.requests > kod_limit_) {
+      ++slice.kod;
       interval_ns[a.client] = ntp::kod_backoff_interval_ns(
           interval_ns[a.client], kod_backoff_factor_, kod_cap_ns_);
       continue;
@@ -81,16 +96,24 @@ void ServerFleet::process_slice(std::size_t server,
       st.cached_bucket = bucket;
       core::SmallRng rng(core::derive_stream_seed(server_seed, bucket));
       st.cached_err_ms = rng.normal(0.0, server_err_sigma_ms_);
-      ++st.totals.cache_misses;
-      cache_miss_counter_->inc();
+      ++slice.cache_misses;
     } else {
-      ++st.totals.cache_hits;
-      cache_hit_counter_->inc();
+      ++slice.cache_hits;
     }
     const double owd_ms = a.partial_ms + st.cached_err_ms;
     owd.record(server, fleet.speaker(a.client), fleet.population(a.client),
                fleet.category(a.client), owd_ms);
   }
+  st.totals.requests += slice.requests;
+  st.totals.kod += slice.kod;
+  st.totals.batches += slice.batches;
+  st.totals.cache_hits += slice.cache_hits;
+  st.totals.cache_misses += slice.cache_misses;
+  requests_counter_[server]->inc(slice.requests);
+  kod_counter_->inc(slice.kod);
+  batches_counter_->inc(slice.batches);
+  cache_hit_counter_->inc(slice.cache_hits);
+  cache_miss_counter_->inc(slice.cache_misses);
 }
 
 void ServerFleet::reset() {

@@ -1,5 +1,6 @@
 #include "ntp/transport.h"
 
+#include <memory>
 #include <utility>
 
 #include "obs/metric_names.h"
@@ -9,7 +10,10 @@ namespace mntp::ntp {
 namespace {
 
 /// Per-exchange state kept alive by shared_ptr across the event chain.
+/// Every event of the chain captures `this` (the engine) and returns
+/// early once `engine_alive` reads false, i.e. the engine is destroyed.
 struct Exchange {
+  std::shared_ptr<const bool> engine_alive;
   QueryEngine::Callback callback;
   sim::EventHandle timeout_event;
   bool settled = false;
@@ -51,10 +55,13 @@ QueryEngine::QueryEngine(sim::Simulation& sim, sim::DisciplinedClock& clock)
                });
 }
 
+QueryEngine::~QueryEngine() { *alive_ = false; }
+
 void QueryEngine::query(const ServerEndpoint& endpoint,
                         const QueryOptions& options, Callback callback) {
   ++sent_;
   auto ex = std::make_shared<Exchange>();
+  ex->engine_alive = alive_;
   ex->callback = std::move(callback);
 
   const core::TimePoint send_true = sim_.now();
@@ -81,6 +88,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
 
   sent_counter_->inc();
   ex->timeout_event = sim_.after(options.timeout, [this, ex, qid] {
+    if (!*ex->engine_alive) return;
     ++timeouts_;
     timeout_counter_->inc();
     if (sim_.telemetry().tracing()) {
@@ -105,6 +113,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
       sim_, endpoint.up, wire_bytes,
       [this, ex, server, down, request_bytes, t1, wire_bytes, send_true,
        qid](core::TimePoint arrival) {
+        if (!*ex->engine_alive) return;
         // Uplink one-way delay on the true timeline (simulator's-eye
         // view; a real client cannot separate the directions).
         last_owd_up_ms_ = (arrival - send_true).to_millis();
@@ -132,11 +141,13 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
         // The reply leaves after the server's processing delay.
         sim_.at(reply.value().departs, [this, ex, down, reply_bytes, t1,
                                         wire_bytes, qid] {
+          if (!*ex->engine_alive) return;
           const core::TimePoint departs = sim_.now();
           net::send_datagram(
               sim_, down, wire_bytes,
               [this, ex, reply_bytes, t1, departs,
                qid](core::TimePoint t4_true) {
+                if (!*ex->engine_alive) return;
                 last_owd_down_ms_ = (t4_true - departs).to_millis();
                 has_owd_down_ = true;
                 owd_down_ms_->record(last_owd_down_ms_);

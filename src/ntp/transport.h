@@ -49,9 +49,15 @@ class QueryEngine {
 
   /// `clock` is the client's system clock used for T1/T4 stamping.
   QueryEngine(sim::Simulation& sim, sim::DisciplinedClock& clock);
+  /// Disarms the exchanges still in flight: their pending events fire
+  /// as no-ops and never call back.
+  ~QueryEngine();
+  QueryEngine(const QueryEngine&) = delete;
+  QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Issue one exchange; exactly one callback will fire (sample, loss
-  /// mapped to timeout, or validation error).
+  /// mapped to timeout, or validation error) unless the engine is
+  /// destroyed first.
   void query(const ServerEndpoint& endpoint, const QueryOptions& options,
              Callback callback);
 
@@ -81,6 +87,10 @@ class QueryEngine {
   bool has_owd_down_ = false;
   obs::ProbeHandle owd_up_probe_;
   obs::ProbeHandle owd_down_probe_;
+  /// Liveness token shared with every in-flight exchange; the
+  /// destructor clears it so their pending events return before
+  /// touching the engine.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace mntp::ntp

@@ -79,11 +79,12 @@ class MetricShardSlabs {
   }
   void histogram_record(std::size_t index,
                         const HdrHistogram::Options& options, double v) {
-    Slab& s = slab_for_this_thread();
-    if (index >= s.histograms.size() || !s.histograms[index]) {
-      add_histogram_shard(s, index, options);
-    }
-    s.histograms[index]->record(v);
+    histogram_shard(index, options).record(v);
+  }
+  void histogram_merge(std::size_t index,
+                       const HdrHistogram::Options& options,
+                       const HdrHistogram& other) {
+    histogram_shard(index, options).merge(other);
   }
 
   [[nodiscard]] std::uint64_t merged_counter(std::size_t index) const;
@@ -101,6 +102,15 @@ class MetricShardSlabs {
   };
 
   Slab& slab_for_this_thread();
+  /// This thread's shard of histogram `index`, built on first use.
+  HdrHistogram& histogram_shard(std::size_t index,
+                                const HdrHistogram::Options& options) {
+    Slab& s = slab_for_this_thread();
+    if (index >= s.histograms.size() || !s.histograms[index]) {
+      add_histogram_shard(s, index, options);
+    }
+    return *s.histograms[index];
+  }
   /// Resize the calling thread's slab to the registered counts. Only the
   /// owning thread touches its cells, so the realloc cannot race the hot
   /// path; merged reads serialize on mutex_.
@@ -160,14 +170,23 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution of recorded values: record() writes this thread's
-/// HdrHistogram shard, merged() combines the shards. The merged result is
-/// identical for every thread count and interleaving.
+/// Distribution of recorded values: record() and merge() write this
+/// thread's HdrHistogram shard, merged() combines the shards. The merged
+/// result is identical for every thread count and interleaving.
 class Histogram {
  public:
   void record(double v) {
     if (enabled_->load(std::memory_order_relaxed)) {
       slabs_->histogram_record(index_, options_, v);
+    }
+  }
+  /// Add a whole distribution recorded elsewhere — same merged result as
+  /// record()ing its samples. Throws std::invalid_argument when
+  /// `other`'s layout differs from this histogram's (HdrHistogram::merge);
+  /// a no-op while the registry is disabled.
+  void merge(const HdrHistogram& other) {
+    if (enabled_->load(std::memory_order_relaxed)) {
+      slabs_->histogram_merge(index_, options_, other);
     }
   }
   /// Every shard merged into one histogram; call after parallel sections

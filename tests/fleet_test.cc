@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include "fleet/params.h"
 #include "fleet/report.h"
 #include "fleet/simulator.h"
+#include "logs/spec.h"
 #include "net/snr_lut.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -257,6 +262,86 @@ TEST(FleetMetrics, RegistryCountersMatchResultTotals) {
   EXPECT_EQ(requests, r.arrived);
   EXPECT_EQ(invalid, r.owd.invalid);
 }
+
+// Registry == result: every fleet.* series the run publishes equals the
+// FleetResult tally it mirrors, exactly, whatever the thread and shard
+// counts. Counters are flushed once per slice and the OWD histograms
+// are merged in once per run, so a lost or doubled flush shows here.
+struct RegistryCase {
+  std::size_t threads;
+  std::size_t shards;
+};
+
+void PrintTo(const RegistryCase& c, std::ostream* os) {
+  *os << "threads=" << c.threads << " shards=" << c.shards;
+}
+
+class FleetRegistry : public ::testing::TestWithParam<RegistryCase> {};
+
+TEST_P(FleetRegistry, SeriesEqualResultExactly) {
+  obs::Telemetry tel;
+  obs::ScopedTelemetry scope(tel);
+  fleet::FleetParams p = small_params();
+  p.shards = GetParam().shards;
+  p.kod_limit_per_slice = 50;  // so the KoD series is exercised too
+  fleet::Simulator sim(
+      std::make_shared<const fleet::ClientFleet>(fleet::ClientFleet::build(p)),
+      p);
+  const fleet::FleetResult r = sim.run(GetParam().threads);
+  ASSERT_GT(r.kod, 0U);
+  ASSERT_GT(r.owd.invalid, 0U);
+
+  obs::MetricsRegistry& m = tel.metrics();
+  const auto counter = [&m](std::string_view name, obs::Labels labels = {}) {
+    return m.counter(name, std::move(labels))->value();
+  };
+  EXPECT_EQ(counter("fleet.client.queries"), r.queries);
+  EXPECT_EQ(counter("fleet.client.dropped"), r.dropped);
+  for (std::size_t s = 0; s < r.server_requests.size(); ++s) {
+    EXPECT_EQ(counter("fleet.server.requests",
+                      {{"server", std::string(logs::kPaperServers[s].id)}}),
+              r.server_requests[s])
+        << logs::kPaperServers[s].id;
+  }
+  EXPECT_EQ(counter("fleet.server.kod"), r.kod);
+  EXPECT_EQ(counter("fleet.server.batches"), r.batches);
+  EXPECT_EQ(counter("fleet.server.cache_hits"), r.cache_hits);
+  EXPECT_EQ(counter("fleet.server.cache_misses"), r.cache_misses);
+  EXPECT_EQ(counter("fleet.owd.invalid"), r.owd.invalid);
+
+  // histogram() is find-or-create: these return the series the run
+  // registered, with the layout it registered them with.
+  for (const fleet::Speaker sp : {fleet::Speaker::kNtp, fleet::Speaker::kSntp}) {
+    for (const fleet::Population pop :
+         {fleet::Population::kWired, fleet::Population::kWireless}) {
+      const obs::HdrHistogram reg =
+          m.histogram("fleet.owd_ms", {},
+                      {{"speaker", std::string(fleet::speaker_name(sp))},
+                       {"population", std::string(fleet::population_name(pop))}})
+              ->merged();
+      EXPECT_EQ(reg, r.owd.by_class[static_cast<std::size_t>(sp)]
+                                   [static_cast<std::size_t>(pop)])
+          << fleet::speaker_name(sp) << "/" << fleet::population_name(pop);
+    }
+  }
+  for (std::size_t c = 0; c < r.owd.by_category.size(); ++c) {
+    const auto cat = static_cast<logs::ProviderCategory>(c);
+    const obs::HdrHistogram reg =
+        m.histogram("fleet.category_owd_ms", {},
+                    {{"category", std::string(logs::category_name(cat))}})
+            ->merged();
+    EXPECT_EQ(reg, r.owd.by_category[c]) << logs::category_name(cat);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsByShards, FleetRegistry,
+    ::testing::Values(RegistryCase{1, 1}, RegistryCase{1, 64},
+                      RegistryCase{4, 1}, RegistryCase{4, 64}),
+    [](const ::testing::TestParamInfo<RegistryCase>& case_info) {
+      return "threads" + std::to_string(case_info.param.threads) +
+             "_shards" + std::to_string(case_info.param.shards);
+    });
 
 }  // namespace
 }  // namespace mntp

@@ -172,6 +172,24 @@ TEST(QueryEngine, ExactlyOneCallbackPerQuery) {
   EXPECT_EQ(callbacks, 50);
 }
 
+TEST(QueryEngine, DestroyedEngineDropsInFlightExchanges) {
+  // Exchanges still in flight when their engine dies fire as no-ops:
+  // no callback, and (under ASan) no write into the freed engine.
+  Fixture f;
+  int callbacks = 0;
+  {
+    QueryEngine engine(f.sim, f.clock);
+    for (int i = 0; i < 5; ++i) {
+      engine.query(f.pool.endpoint(f.pool.pick_index(), nullptr, nullptr),
+                   QueryOptions{},
+                   [&](core::Result<SntpSample>) { ++callbacks; });
+    }
+  }
+  f.sim.run();
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_TRUE(f.sim.now() > TimePoint::epoch());  // the events did fire
+}
+
 TEST(SntpClient, PollsAndRecordsSamples) {
   Fixture f;
   SntpClientPolicy policy;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -85,6 +86,52 @@ TEST(Histogram, MomentsAndExtremes) {
   EXPECT_DOUBLE_EQ(m.min(), 1.0);  // extrema stay exact
   EXPECT_DOUBLE_EQ(m.max(), 25.0);
   EXPECT_NEAR(m.mean(), 11.5, 11.5 * kHdrRelErr);
+}
+
+TEST(Histogram, MergeEqualsRecordingTheSamplesOnAnyThread) {
+  // A distribution merged in — from this thread, or from another whose
+  // shard is separate — ends exactly where recording its samples one by
+  // one would.
+  MetricsRegistry reg;
+  Histogram* recorded = reg.histogram("recorded");
+  Histogram* merged = reg.histogram("merged");
+  HdrHistogram first(recorded->options());
+  HdrHistogram second(recorded->options());
+  for (int i = 1; i <= 500; ++i) {
+    const double v = 0.37 * i * i - 3.0 * i;  // both signs, wide range
+    recorded->record(v);
+    (i % 3 == 0 ? first : second).record(v);
+  }
+  merged->merge(first);
+  std::thread other([&] { merged->merge(second); });
+  other.join();
+  EXPECT_EQ(merged->merged(), recorded->merged());
+  EXPECT_EQ(merged->merged().count(), 500u);
+}
+
+TEST(Histogram, MergeRejectsLayoutMismatch) {
+  MetricsRegistry reg;
+  Histogram* h = reg.histogram("h");
+  HdrHistogram::Options other = h->options();
+  other.sub_bucket_bits += 1;
+  HdrHistogram foreign(other);
+  foreign.record(1.0);
+  EXPECT_THROW(h->merge(foreign), std::invalid_argument);
+  EXPECT_EQ(h->merged().count(), 0u);
+}
+
+TEST(Histogram, MergeIgnoredWhileDisabled) {
+  MetricsRegistry reg;
+  Histogram* h = reg.histogram("h");
+  HdrHistogram samples(h->options());
+  samples.record(2.0);
+  samples.record(3.0);
+  reg.set_enabled(false);
+  h->merge(samples);
+  EXPECT_EQ(h->merged().count(), 0u);
+  reg.set_enabled(true);
+  h->merge(samples);
+  EXPECT_EQ(h->merged(), samples);
 }
 
 TEST(Registry, SnapshotCarriesEveryKind) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "core/format.h"
@@ -155,6 +156,66 @@ void Checks::expect_near(double value, double target, double tolerance,
   std::snprintf(buf, sizeof buf, "%s (measured %.2f, paper ~%.2f, tol %.2f)",
                 description.c_str(), value, target, tolerance);
   entries_.push_back({std::fabs(value - target) <= tolerance, buf});
+}
+
+namespace {
+
+/// The flags BenchTelemetry parses; every bench binary accepts them.
+constexpr Flag kTelemetryFlags[] = {
+    {"--telemetry-out", "PATH"},       {"--profile-out", "PATH"},
+    {"--query-trace-out", "PATH"},     {"--query-trace-sample", "N"},
+    {"--query-trace-seed", "S"},       {"--query-trace-reservoir", "M"},
+    {"--query-trace-stream", nullptr}, {"--trace-stream-out", "PATH"},
+    {"--timeline-out", "PATH"},        {"--timeline-cadence-ms", "MS"},
+    {"--obs-self", nullptr},
+};
+
+void print_usage(std::FILE* out, const char* prog,
+                 std::initializer_list<Flag> own) {
+  const auto line = [out](const Flag& f) {
+    std::fprintf(out, "  %s%s%s\n", f.name, f.value ? " " : "",
+                 f.value ? f.value : "");
+  };
+  std::fprintf(out, "usage: %s [flags]\n", prog);
+  for (const Flag& f : own) line(f);
+  std::fprintf(out, "telemetry flags:\n");
+  for (const Flag& f : kTelemetryFlags) line(f);
+}
+
+}  // namespace
+
+void check_flags(int argc, char** argv, std::initializer_list<Flag> own) {
+  const auto find = [&](std::string_view name) -> const Flag* {
+    for (const Flag& f : own) {
+      if (name == f.name) return &f;
+    }
+    for (const Flag& f : kTelemetryFlags) {
+      if (name == f.name) return &f;
+    }
+    return nullptr;
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      print_usage(stdout, argv[0], own);
+      std::exit(0);
+    }
+    const std::string_view name = arg.substr(0, arg.find('='));
+    const Flag* flag = find(name);
+    const bool inline_value = name.size() < arg.size();
+    const char* error = nullptr;
+    if (flag == nullptr) {
+      error = "unknown argument";
+    } else if (flag->value != nullptr && !inline_value && ++i >= argc) {
+      error = "missing value for";
+    }
+    if (error != nullptr) {
+      std::fprintf(stderr, "%s: %s '%s'\n", argv[0], error,
+                   std::string(arg).c_str());
+      print_usage(stderr, argv[0], own);
+      std::exit(2);
+    }
+  }
 }
 
 std::string parse_flag(int argc, char** argv, const char* flag) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,6 +134,22 @@ void print_replicate_report(const sim::ReplicateReport& report);
 /// distribution: count / p50 / p90 / p99 / min / max). No-op when the
 /// report carries none.
 void print_replicate_distributions(const sim::ReplicateReport& report);
+
+/// One command-line flag a bench binary accepts: its name with the
+/// leading dashes and, for a flag that takes a value, the value's
+/// placeholder in the usage text (nullptr for a bare switch).
+struct Flag {
+  const char* name;
+  const char* value;
+};
+
+/// Reject what a binary does not know, before any work. Every argument
+/// must be one of `own` or one of the BenchTelemetry flags, given as
+/// `--flag value`, `--flag=value` or, for a switch, `--flag`. `--help`
+/// prints usage to stdout and exits 0; an unknown argument or a missing
+/// value prints usage to stderr and exits 2 — a mistyped flag must not
+/// silently run the default.
+void check_flags(int argc, char** argv, std::initializer_list<Flag> own);
 
 /// Parse `--<flag> value` / `--<flag>=value` from argv (last occurrence
 /// wins); empty string when absent. `flag` includes the leading dashes.

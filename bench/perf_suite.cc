@@ -12,6 +12,7 @@
 // --workload NAME (run just one), plus the common --telemetry-out /
 // --profile-out harness flags (the suite is itself instrumented: a
 // profiled run shows the span tree of every workload).
+// An unknown flag exits 2 with usage; --help prints usage.
 //
 // Workloads are sized for seconds-not-minutes total runtime so the
 // bench-smoke CTest entry can run the full suite with --reps 2.
@@ -297,29 +298,6 @@ std::vector<Workload> build_workloads() {
     sink = delivered;
   }});
 
-  // Same interaction pattern with the opt-in fast paths (closed-form OU
-  // advance + SNR lookup table): gap cost becomes O(1), quantifying what
-  // the coarse model buys a long-horizon simulation.
-  workloads.push_back({"channel_transmit_coarse", [] {
-    net::WirelessChannelParams params;
-    params.coarse_ou_advance = true;
-    params.use_snr_lut = true;
-    net::WirelessChannel channel(params, core::Rng(14));
-    channel.set_utilization(0.35);
-    static volatile std::size_t sink;
-    std::size_t delivered = 0;
-    std::int64_t t = 0;
-    for (int i = 0; i < 20'000; ++i) {
-      t += 5'000'000'000;
-      const auto now = core::TimePoint::from_ns(t);
-      const net::WirelessHints hints = channel.observe_hints(now);
-      delivered += hints.rssi.value() > -200.0;
-      delivered += channel.transmit_dir(now, 90, true).delivered;
-      delivered += channel.transmit_dir(now, 90, false).delivered;
-    }
-    sink = delivered;
-  }});
-
   // Replication harness: fan 16 small engine scenarios out over 4 pool
   // threads — measures per-replicate dispatch + aggregation overhead on
   // top of the scenario cost.
@@ -426,6 +404,11 @@ bool write_results(const std::string& path, std::size_t reps,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv,
+                     {{"--reps", "N"},
+                      {"--warmup", "N"},
+                      {"--out", "PATH"},
+                      {"--workload", "NAME"}});
   bench::BenchTelemetry telemetry("perf_suite", argc, argv);
   const std::size_t reps =
       std::max<std::size_t>(1, bench::parse_size_flag(argc, argv, "--reps", 9));

@@ -109,20 +109,13 @@ class Rng {
   // self-contained, draw-count documented, and cheap to inline — but
   // they consume the engine differently, so they are NOT drop-in
   // replacements on an existing stream: switching a call site changes
-  // every downstream result. Use them for new code and for opt-in
-  // model variants.
+  // every downstream result. ClientFleet::build draws its population
+  // columns with fill_normal.
 
   /// Canonical uniform in [0,1): top 53 bits of exactly one engine
   /// draw.
   [[nodiscard]] double canonical() {
     return static_cast<double>(engine_() >> 11) * 0x1p-53;
-  }
-
-  /// Exponential with the given mean by inverse transform; exactly one
-  /// engine draw per call. log1p(-u) keeps precision for small u and is
-  /// finite for all u in [0,1).
-  [[nodiscard]] double exponential_fast(double mean) {
-    return -mean * std::log1p(-canonical());
   }
 
   /// Gaussian via the Marsaglia polar method with the spare deviate
@@ -195,7 +188,9 @@ class SmallRng {
     return lo + (hi - lo) * canonical();
   }
 
-  /// Exponential with the given mean; one draw (cf. Rng::exponential_fast).
+  /// Exponential with the given mean by inverse transform; exactly one
+  /// draw. log1p(-u) keeps precision for small u and is finite for all u
+  /// in [0,1).
   [[nodiscard]] double exponential(double mean) {
     return -mean * std::log1p(-canonical());
   }

@@ -1,6 +1,5 @@
-// Fleet layer unit tests: SmallRng stream contract, the shared SNR LUT
-// error bound, population build calibration, and the simulator's
-// conservation / mechanism invariants.
+// Fleet layer unit tests: SmallRng stream contract, population build
+// calibration, and the simulator's conservation / mechanism invariants.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include "fleet/report.h"
 #include "fleet/simulator.h"
 #include "logs/spec.h"
-#include "net/snr_lut.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 
@@ -65,25 +63,6 @@ TEST(SmallRng, ParetoRespectsScaleAndTailClamp) {
     EXPECT_GE(x, 1.0);
     EXPECT_LE(x, std::pow(2.0, 53.0 / 4.0));
   }
-}
-
-TEST(SnrFailureLut, InterpolationErrorWithinBound) {
-  const double snr50 = 8.0;
-  const double slope = 2.2;
-  const net::SnrFailureLut lut = net::SnrFailureLut::build(snr50, slope);
-  ASSERT_FALSE(lut.empty());
-  for (double snr = snr50 - 19.0 * slope; snr <= snr50 + 19.0 * slope;
-       snr += 0.013) {
-    const double exact = 1.0 / (1.0 + std::exp((snr - snr50) / slope));
-    EXPECT_NEAR(lut(snr), exact, 1e-5) << "snr=" << snr;
-  }
-}
-
-TEST(SnrFailureLut, EmptyTableFallsBackToExactLogistic) {
-  const net::SnrFailureLut empty;
-  EXPECT_TRUE(empty.empty());
-  // Default-constructed midpoint/slope (0, 1).
-  EXPECT_NEAR(empty(0.0), 0.5, 1e-12);
 }
 
 fleet::FleetParams small_params() {

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/rng.h"
 #include "core/stats.h"
 #include "mntp/params.h"
+#include "net/mac.h"
 
 namespace mntp::net {
 namespace {
@@ -220,54 +222,25 @@ TEST(WirelessChannel, HintObservationTracksTrueState) {
   EXPECT_NEAR(error.stddev(), WirelessChannelParams{}.fast_fading_sigma_db, 0.1);
 }
 
-TEST(WirelessChannel, SnrLutMatchesExactLogisticWithinBound) {
-  // The LUT's documented contract: |interpolated - exact| <= 1e-5 across
-  // the whole SNR axis (clamped tails included), for any positive slope.
-  for (const double slope : {0.5, 2.2, 6.0}) {
-    WirelessChannelParams p;
-    p.snr_slope_db = slope;
-    p.use_snr_lut = true;
-    WirelessChannel lut(p, Rng(30));
-    double worst = 0.0;
-    for (double snr = p.snr50_db - 30.0 * slope; snr <= p.snr50_db + 30.0 * slope;
-         snr += slope / 100.0) {
-      const double exact =
-          1.0 / (1.0 + std::exp((snr - p.snr50_db) / p.snr_slope_db));
-      worst = std::max(worst, std::fabs(lut.snr_failure_probability(snr) - exact));
-    }
-    EXPECT_LE(worst, 1e-5) << "slope " << slope;
-  }
-}
-
-TEST(WirelessChannel, SnrLutOffByDefaultUsesExactLogistic) {
-  WirelessChannel c(WirelessChannelParams{}, Rng(31));
-  const WirelessChannelParams p;
-  const double snr = p.snr50_db + 1.7;
-  EXPECT_DOUBLE_EQ(c.snr_failure_probability(snr),
-                   1.0 / (1.0 + std::exp((snr - p.snr50_db) / p.snr_slope_db)));
-}
-
 TEST(WirelessChannel, CoarseOuAdvanceMatchesStationaryStatistics) {
-  // The closed-form advance is the exact OU transition, so the shadowing
-  // process it produces must have the same stationary law the tick
-  // integrator targets: mean 0, stddev ~= shadowing_sigma_db, and the
-  // configured relaxation time. Pin the channel in the good state so
-  // true_rssi exposes the shadowing term directly.
-  WirelessChannelParams p;
-  p.coarse_ou_advance = true;
-  p.mean_good_duration = Duration::seconds(1e9);
-  WirelessChannel c(p, Rng(32));
-  const double baseline = p.default_tx_power.value() - p.path_loss.value();
+  // ou_exact_step is the exact OU transition the fleet advances each
+  // client's shadowing with across its idle gaps, so chaining it at any
+  // step must reproduce the stationary law the device's tick integrator
+  // targets: mean 0, stddev ~= shadowing_sigma_db, and the configured
+  // relaxation time.
+  const WirelessChannelParams p;
+  core::SmallRng rng(32);
   core::RunningStats shadow;
   double lag_acc = 0.0;
-  double prev = 0.0;
+  double x = 0.0;
   const double step_s = 5.0;
   const int n = 40000;
   for (int i = 1; i <= n; ++i) {
-    const double x = c.true_rssi(at_s(i * step_s)).value() - baseline;
+    const double prev = x;
+    x = ou_exact_step(x, step_s, p.shadowing_tau_s, p.shadowing_sigma_db,
+                      rng.normal(0.0, 1.0));
     shadow.add(x);
     if (i > 1) lag_acc += prev * x;
-    prev = x;
   }
   EXPECT_NEAR(shadow.mean(), 0.0, 0.1);
   EXPECT_NEAR(shadow.stddev(), p.shadowing_sigma_db, 0.1);
@@ -277,18 +250,52 @@ TEST(WirelessChannel, CoarseOuAdvanceMatchesStationaryStatistics) {
   EXPECT_NEAR(lag1, std::exp(-step_s / p.shadowing_tau_s), 0.02);
 }
 
-TEST(WirelessChannel, CoarseOuAdvanceIsDeterministicPerSeed) {
-  WirelessChannelParams p;
-  p.coarse_ou_advance = true;
-  p.use_snr_lut = true;
-  WirelessChannel a(p, Rng(33));
-  WirelessChannel b(p, Rng(33));
-  for (int i = 1; i <= 200; ++i) {
-    const auto ra = a.transmit_dir(at_s(i * 7.0), 76, i % 2 == 0);
-    const auto rb = b.transmit_dir(at_s(i * 7.0), 76, i % 2 == 0);
-    ASSERT_EQ(ra.delivered, rb.delivered);
-    ASSERT_EQ(ra.delay, rb.delay);
+TEST(MacKernel, SnrFailureIsTheExactLogistic) {
+  EXPECT_DOUBLE_EQ(snr_failure_probability(8.0, 8.0, 2.2), 0.5);
+  EXPECT_DOUBLE_EQ(snr_failure_probability(8.0 + 2.2, 8.0, 2.2),
+                   1.0 / (1.0 + std::exp(1.0)));
+  EXPECT_LT(snr_failure_probability(30.0, 8.0, 2.2), 1e-4);
+  EXPECT_GT(snr_failure_probability(-14.0, 8.0, 2.2), 1.0 - 1e-4);
+}
+
+// The draw discipline of mac_attempts, pinned for both generators that
+// drive it (core::Rng on the device, core::SmallRng in the fleet): one
+// bernoulli per attempt, one backoff per retry that actually happens.
+template <class R>
+class MacAttempts : public ::testing::Test {};
+using MacRngs = ::testing::Types<core::Rng, core::SmallRng>;
+TYPED_TEST_SUITE(MacAttempts, MacRngs);
+
+TYPED_TEST(MacAttempts, CertainFailureDrawsOneBackoffPerRetry) {
+  constexpr int kMaxRetries = 6;
+  constexpr double kBackoffMean = 0.005;
+  TypeParam rng(41);
+  TypeParam twin(41);
+  const MacOutcome out = mac_attempts(rng, 1.0, kMaxRetries, kBackoffMean);
+  EXPECT_FALSE(out.delivered);
+  EXPECT_EQ(out.retries, 0);
+  // The twin makes the documented draws: kMaxRetries + 1 failed attempts
+  // with a backoff after every one but the last.
+  double backoff = 0.0;
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
+    ASSERT_TRUE(twin.bernoulli(1.0));
+    if (attempt < kMaxRetries) {
+      backoff += twin.exponential(kBackoffMean) * (attempt + 1.0);
+    }
   }
+  EXPECT_DOUBLE_EQ(out.backoff, backoff);
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
+}
+
+TYPED_TEST(MacAttempts, CertainSuccessDrawsNoBackoff) {
+  TypeParam rng(43);
+  TypeParam twin(43);
+  const MacOutcome out = mac_attempts(rng, 0.0, 6, 0.005);
+  EXPECT_TRUE(out.delivered);
+  EXPECT_EQ(out.retries, 0);
+  EXPECT_EQ(out.backoff, 0.0);
+  ASSERT_FALSE(twin.bernoulli(0.0));
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
 }
 
 }  // namespace

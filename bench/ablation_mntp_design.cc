@@ -227,6 +227,7 @@ int ablation_vote_vs_marzullo() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::BenchTelemetry telemetry("ablation_mntp_design", argc, argv);
   int failures = 0;
   failures += ablation_gate_vs_filter();

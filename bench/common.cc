@@ -171,24 +171,27 @@ constexpr Flag kTelemetryFlags[] = {
 };
 
 void print_usage(std::FILE* out, const char* prog,
-                 std::initializer_list<Flag> own) {
+                 std::initializer_list<Flag> own, bool telemetry) {
   const auto line = [out](const Flag& f) {
     std::fprintf(out, "  %s%s%s\n", f.name, f.value ? " " : "",
                  f.value ? f.value : "");
   };
   std::fprintf(out, "usage: %s [flags]\n", prog);
   for (const Flag& f : own) line(f);
+  if (!telemetry) return;
   std::fprintf(out, "telemetry flags:\n");
   for (const Flag& f : kTelemetryFlags) line(f);
 }
 
 }  // namespace
 
-void check_flags(int argc, char** argv, std::initializer_list<Flag> own) {
+void check_flags(int argc, char** argv, std::initializer_list<Flag> own,
+                 bool telemetry) {
   const auto find = [&](std::string_view name) -> const Flag* {
     for (const Flag& f : own) {
       if (name == f.name) return &f;
     }
+    if (!telemetry) return nullptr;
     for (const Flag& f : kTelemetryFlags) {
       if (name == f.name) return &f;
     }
@@ -197,7 +200,7 @@ void check_flags(int argc, char** argv, std::initializer_list<Flag> own) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help") {
-      print_usage(stdout, argv[0], own);
+      print_usage(stdout, argv[0], own, telemetry);
       std::exit(0);
     }
     const std::string_view name = arg.substr(0, arg.find('='));
@@ -212,7 +215,7 @@ void check_flags(int argc, char** argv, std::initializer_list<Flag> own) {
     if (error != nullptr) {
       std::fprintf(stderr, "%s: %s '%s'\n", argv[0], error,
                    std::string(arg).c_str());
-      print_usage(stderr, argv[0], own);
+      print_usage(stderr, argv[0], own, telemetry);
       std::exit(2);
     }
   }

@@ -144,12 +144,14 @@ struct Flag {
 };
 
 /// Reject what a binary does not know, before any work. Every argument
-/// must be one of `own` or one of the BenchTelemetry flags, given as
+/// must be one of `own` or, when `telemetry` (the binary constructs a
+/// BenchTelemetry), one of the BenchTelemetry flags, given as
 /// `--flag value`, `--flag=value` or, for a switch, `--flag`. `--help`
 /// prints usage to stdout and exits 0; an unknown argument or a missing
 /// value prints usage to stderr and exits 2 — a mistyped flag must not
 /// silently run the default.
-void check_flags(int argc, char** argv, std::initializer_list<Flag> own);
+void check_flags(int argc, char** argv, std::initializer_list<Flag> own,
+                 bool telemetry = true);
 
 /// Parse `--<flag> value` / `--<flag>=value` from argv (last occurrence
 /// wins); empty string when absent. `flag` includes the leading dashes.

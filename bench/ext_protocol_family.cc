@@ -84,7 +84,8 @@ Steady run_wan(bool full_ntp) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, false);
   std::printf("== Extension: protocol family — PTP vs NTP vs SNTP ==\n");
   const Steady ptp_hw = run_ptp(100e-9);
   const Steady ptp_sw = run_ptp(50e-6);

@@ -180,6 +180,7 @@ int offline_grid_baseline(std::size_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {{"--threads", "N"}}, false);
   const std::size_t threads = bench::parse_threads(argc, argv);
   int failures = 0;
   failures += self_tuning_tradeoff();

@@ -212,6 +212,8 @@ int run_replicated(const mntp::bench::ReplicateCli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {{"--replicates", "K"}, {"--threads", "N"}},
+                     false);
   std::printf("== Extension: SNTP vs NTP vs MNTP vs GPS (6 h, same channel) ==\n");
   const mntp::bench::ReplicateCli cli =
       mntp::bench::parse_replicate_cli(argc, argv);

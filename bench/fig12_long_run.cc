@@ -77,6 +77,8 @@ int run_replicated(const ntp::TestbedConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv,
+                     {{"--replicates", "K"}, {"--threads", "N"}});
   bench::BenchTelemetry telemetry("fig12_long_run", argc, argv);
   std::printf("== Figure 12: 4-hour run, free-running clock ==\n");
   ntp::TestbedConfig config;

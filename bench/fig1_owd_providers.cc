@@ -57,7 +57,8 @@ void print_server(const logs::ServerLog& log,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, false);
   std::printf("== Figure 1: min OWDs per service provider (AG1, JW2, SU1) ==\n");
   logs::LogGenerator generator({.scale = 1.0 / 500.0}, core::Rng(2));
 

@@ -31,6 +31,7 @@ ntp::TestbedConfig scenario(bool wireless, bool corrected, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::BenchTelemetry telemetry("fig4_wired_vs_wireless", argc, argv);
   std::printf("== Figure 4: SNTP offsets, wired vs wireless, +/- NTP correction ==\n");
   const core::Duration span = core::Duration::hours(1);

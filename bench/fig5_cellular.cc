@@ -11,6 +11,7 @@
 using namespace mntp;
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::BenchTelemetry telemetry("fig5_cellular", argc, argv);
   std::printf("== Figure 5: SNTP offsets on a 4G network (3 h) ==\n");
   core::Rng rng(5);

@@ -13,6 +13,7 @@
 using namespace mntp;
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {});
   bench::BenchTelemetry telemetry("fig7_signals_selection", argc, argv);
   std::printf("== Figure 7: wireless hints and MNTP selection ==\n");
   ntp::TestbedConfig config;

@@ -87,6 +87,8 @@ int run_replicated(const ntp::TestbedConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv,
+                     {{"--replicates", "K"}, {"--threads", "N"}});
   bench::BenchTelemetry telemetry("fig8_mntp_vs_sntp_freerun", argc, argv);
   std::printf("== Figure 8: SNTP vs MNTP on wireless, free-running clock ==\n");
   ntp::TestbedConfig config;

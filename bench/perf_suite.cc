@@ -2,7 +2,7 @@
 // timed with warmup + repetitions, summarized robustly (median / MAD /
 // p95 — medians because wall time on shared machines is contaminated by
 // scheduling noise) and written as BENCH_results.json in a stable schema
-// that scripts/bench_compare.py diffs against the committed
+// that the `mntp-inspect diff` gate compares against the committed
 // BENCH_baseline.json.
 //
 //   build/bench/perf_suite --reps 9 --warmup 2 --out BENCH_results.json
@@ -81,7 +81,7 @@ double now_us() {
       .count();
 }
 
-/// Median absolute deviation: the robust spread bench_compare uses to
+/// Median absolute deviation: the robust spread the diff gate uses to
 /// judge whether a regression exceeds run-to-run noise.
 double mad(std::vector<double> xs, double median) {
   for (double& x : xs) x = std::fabs(x - median);
@@ -348,7 +348,7 @@ std::vector<Workload> build_workloads() {
 }
 
 /// BENCH_results.json schema v1 (validated by
-/// scripts/check_telemetry_schema.py, diffed by scripts/bench_compare.py):
+/// scripts/check_telemetry_schema.py, gated by `mntp-inspect diff`):
 /// {schema_version, kind:"mntp_perf_suite", reps, warmup,
 ///  environment{compiler, build_type, build_flags, hardware_threads},
 ///  workloads:[{name, unit:"us", median_us, mad_us, p95_us, min_us,

@@ -12,7 +12,8 @@
 
 using namespace mntp;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, false);
   std::printf("== Table 1: summary of client statistics seen in the NTP logs ==\n");
   const double scale = 1.0 / 2000.0;
   logs::LogGenerator generator({.scale = scale}, core::Rng(1));

@@ -33,6 +33,7 @@ protocol::MntpParams paper_config(double warmup_min, double wwait_min,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {{"--threads", "N"}});
   bench::BenchTelemetry telemetry("table2_fig11_tuner", argc, argv);
   const std::size_t threads = bench::parse_threads(argc, argv);
   std::printf("== Table 2 / Figure 11: MNTP tuner ==\n");

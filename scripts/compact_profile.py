@@ -4,10 +4,10 @@
   compact_profile.py IN_profile.json OUT_profile.json
 
 A perf-suite --profile-out trace carries hundreds of thousands of span
-events (~50 MB) — far too heavy to commit as a baseline. But every
-consumer of a profile *pair* in this repo (`mntp-inspect diff`,
-`bench_compare.py --profile`) aggregates by span name first: count,
-summed wall time, summed self time. This script performs that exact
+events (~50 MB) — far too heavy to commit as a baseline. But the only
+consumer of a profile *pair* in this repo, `mntp-inspect diff`,
+aggregates by span name first: count, summed wall time, summed self
+time. This script performs that exact
 aggregation ahead of time, emitting a valid (tiny) Chrome trace with a
 single ph:"X" event per span name whose `dur` is the summed wall time
 and `args.self_us` the summed self time; the original event count is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -41,6 +42,7 @@ struct Artifact {
     double mad_us = 0.0;
   };
   std::map<std::string, Workload> workloads;
+  Json environment;  // bench: compiler, build_type, ...
 
   // profile: span name -> aggregate
   struct SpanAgg {
@@ -95,11 +97,24 @@ Result<Artifact> load_bench(const Json& doc) {
   if (!doc["workloads"].is_array()) {
     return Error::malformed("bench artifact has no workloads array");
   }
+  art.environment = doc["environment"];
   for (const Json& w : doc["workloads"].as_array()) {
     const std::string& name = w["name"].as_string();
     if (name.empty()) return Error::malformed("bench workload without name");
-    art.workloads[name] = {w["median_us"].as_double(),
-                           w["mad_us"].as_double()};
+    // The gate reads these two numbers; a missing or mistyped one must
+    // not pass as 0 (a "5000" string baseline would gate nothing).
+    double fields[2] = {};
+    const char* keys[2] = {"median_us", "mad_us"};
+    for (int k = 0; k < 2; ++k) {
+      const Json& v = w[keys[k]];
+      fields[k] = v.as_double();
+      if (!v.is_number() || !std::isfinite(fields[k]) || fields[k] < 0.0) {
+        return Error::malformed(core::strformat(
+            "workload '%s': %s must be a finite non-negative number",
+            name.c_str(), keys[k]));
+      }
+    }
+    art.workloads[name] = {fields[0], fields[1]};
   }
   return art;
 }
@@ -311,12 +326,39 @@ void tally(DiffResult& result, const DiffSection& section) {
   }
 }
 
-/// The bench_compare.py gate, verbatim: candidate passes iff
+/// The bench gate: candidate passes iff
 ///   cand <= base * (1 + tolerance) + max(abs_floor, 4 * base_mad).
 double bench_allowance(double base_median, double base_mad,
                        const DiffOptions& opt) {
   return base_median * opt.tolerance +
          std::max(opt.abs_floor_us, 4.0 * base_mad);
+}
+
+/// A budget passes iff a_median <= b_median * (1 + pct / 100), both
+/// from the candidate. before/after are B's and A's medians; score is
+/// the overhead in budget units (>1 trips).
+DiffEntry check_budget(const Artifact& cand, const DiffBudget& budget) {
+  DiffEntry e;
+  e.name = budget.spec;
+  const auto a = cand.workloads.find(budget.a);
+  const auto b = cand.workloads.find(budget.b);
+  if (a == cand.workloads.end() || b == cand.workloads.end()) {
+    e.cls = kRemoved;
+    e.significant = e.regression = true;
+    const std::string& gone = a == cand.workloads.end() ? budget.a : budget.b;
+    e.note = "workload '" + gone + "' missing from candidate";
+    return e;
+  }
+  e.has_before = e.has_after = true;
+  e.before = b->second.median_us;
+  e.after = a->second.median_us;
+  e.delta = e.after - e.before;
+  const double limit = e.before * (1.0 + budget.pct / 100.0);
+  e.score = limit > e.before ? e.delta / (limit - e.before) : 0.0;
+  e.significant = e.regression = e.after > limit;
+  e.cls = e.regression ? kChanged : kEqual;
+  e.note = core::strformat("limit %.1f us (budget %g%%)", limit, budget.pct);
+  return e;
 }
 
 DiffResult diff_bench(const Artifact& a, const Artifact& b,
@@ -332,7 +374,7 @@ DiffResult diff_bench(const Artifact& a, const Artifact& b,
     auto it = b.workloads.find(name);
     if (it == b.workloads.end()) {
       e.cls = kRemoved;
-      e.significant = e.regression = true;  // bench_compare: FAIL missing
+      e.significant = e.regression = true;
       e.note = "missing from candidate";
       section.entries.push_back(std::move(e));
       continue;
@@ -364,6 +406,26 @@ DiffResult diff_bench(const Artifact& a, const Artifact& b,
   rank(section);
   tally(result, section);
   result.sections.push_back(std::move(section));
+
+  if (!opt.budgets.empty()) {
+    DiffSection budgets{"budgets", {}};
+    for (const DiffBudget& budget : opt.budgets) {
+      budgets.entries.push_back(check_budget(b, budget));
+    }
+    tally(result, budgets);
+    result.sections.push_back(std::move(budgets));
+  }
+
+  // A baseline from another toolchain still bounds an order-of-magnitude
+  // regression, so a mismatch warns instead of failing.
+  for (const char* key : {"compiler", "build_type"}) {
+    const std::string& base = a.environment[key].as_string();
+    const std::string& cand = b.environment[key].as_string();
+    if (base == cand) continue;
+    result.warnings.push_back(core::strformat(
+        "environment.%s differs: baseline '%s' vs candidate '%s'", key,
+        base.c_str(), cand.c_str()));
+  }
   return result;
 }
 
@@ -706,6 +768,21 @@ const char* diff_kind_name(DiffKind kind) {
   return "unknown";
 }
 
+core::Result<DiffBudget> parse_budget(const std::string& spec) {
+  const auto c1 = spec.find(':');
+  const auto c2 = spec.rfind(':');
+  DiffBudget budget{spec, spec.substr(0, c1), spec.substr(c1 + 1, c2 - c1 - 1)};
+  const std::string pct = spec.substr(c2 + 1);
+  char* end = nullptr;
+  budget.pct = std::strtod(pct.c_str(), &end);
+  if (std::count(spec.begin(), spec.end(), ':') != 2 || budget.a.empty() ||
+      budget.b.empty() || pct.empty() || *end != '\0' ||
+      !std::isfinite(budget.pct)) {
+    return Error::invalid_argument("bad budget '" + spec + "' (want A:B:PCT)");
+  }
+  return budget;
+}
+
 core::Result<DiffResult> diff_files(const std::string& a_path,
                                     const std::string& b_path,
                                     const DiffOptions& options) {
@@ -718,6 +795,11 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
         "artifact kinds differ: %s is %s, %s is %s", a_path.c_str(),
         diff_kind_name(a.value().kind), b_path.c_str(),
         diff_kind_name(b.value().kind)));
+  }
+  if (!options.budgets.empty() && a.value().kind != DiffKind::kBench) {
+    return Error::invalid_argument(core::strformat(
+        "--budget applies to bench artifacts, not %s",
+        diff_kind_name(a.value().kind)));
   }
   DiffResult result;
   switch (a.value().kind) {

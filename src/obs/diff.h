@@ -12,13 +12,13 @@
 // from content, exactly like tools/mntp_inspect and
 // check_telemetry_schema.py) and computes statistically-aware deltas:
 //
-//   * bench       — per-workload median gate with the SAME math as
-//                   scripts/bench_compare.py (candidate_median <=
-//                   baseline_median * (1+tolerance) + max(abs_floor,
-//                   4 * baseline_mad)); missing workloads fail, new
-//                   ones are noted. Cross-checked against the Python
-//                   gate by the diff_gate_agreement CTest entry so the
-//                   two can never drift apart.
+//   * bench       — the repo's perf regression gate (CI runs it
+//                   against BENCH_baseline.json): per workload,
+//                   candidate_median <= baseline_median *
+//                   (1+tolerance) + max(abs_floor, 4 * baseline_mad);
+//                   missing workloads fail, new ones are noted. Optional
+//                   within-candidate budgets (--budget A:B:PCT) add a
+//                   "budgets" section evaluated on file B alone.
 //   * profile     — spans aggregated by name (count / total_us /
 //                   self_us summed over complete events), deltas
 //                   attributed per span and ranked by self-time
@@ -70,12 +70,22 @@ enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
 /// Stable lowercase name used in JSON output and error messages.
 [[nodiscard]] const char* diff_kind_name(DiffKind kind);
 
+/// `--budget A:B:PCT`: workload A's median may exceed workload B's by at
+/// most PCT percent, both read from the candidate, so machine speed
+/// cancels out. A missing A or B fails the budget.
+struct DiffBudget {
+  std::string spec;  // "A:B:PCT" as given; the entry name
+  std::string a, b;
+  double pct = 0.0;
+};
+
+/// Parse "A:B:PCT"; anything else is an invalid_argument error.
+[[nodiscard]] core::Result<DiffBudget> parse_budget(const std::string& spec);
+
 struct DiffOptions {
-  /// Relative tolerance for bench medians, profile span times and
-  /// report scalars (same default as bench_compare.py).
+  /// Relative tolerance for bench medians, profile spans, report scalars.
   double tolerance = 0.5;
-  /// Absolute allowance floor in microseconds for bench/profile time
-  /// deltas (same default as bench_compare.py --abs-floor-us).
+  /// Absolute allowance floor (us) for bench/profile time deltas.
   double abs_floor_us = 200.0;
   /// Two-proportion z threshold for query-trace distribution shifts.
   double sigma = 4.0;
@@ -84,6 +94,7 @@ struct DiffOptions {
   /// Rows rendered per section in the human tables (JSON always
   /// carries every entry; exit codes never depend on this cap).
   std::size_t top = 20;
+  std::vector<DiffBudget> budgets;  // bench only: one "budgets" row each
 };
 
 /// Delta classes. `exact` / `shifted` are the exact-reconciliation
@@ -125,6 +136,7 @@ struct DiffResult {
   std::size_t significant = 0;     // entries flagged significant
   std::size_t regressions = 0;     // entries counting toward exit 1
   std::vector<DiffSection> sections;
+  std::vector<std::string> warnings;  // bench environment mismatches
 
   /// The 0/1 half of the exit-code contract (2 is "diff_files returned
   /// an error" and never appears in a DiffResult).
@@ -132,8 +144,10 @@ struct DiffResult {
 };
 
 /// Load, kind-detect and diff two artifact files. Errors (unreadable
-/// file, malformed artifact, unsupported or mismatched kinds) come back
-/// as core::Result errors; the CLI maps them to exit 2.
+/// file, malformed artifact — a bench median_us/mad_us must be a
+/// finite non-negative number — unsupported or mismatched kinds,
+/// budgets on a non-bench pair) come back as core::Result errors; the
+/// CLI maps them to exit 2.
 [[nodiscard]] core::Result<DiffResult> diff_files(const std::string& a_path,
                                                   const std::string& b_path,
                                                   const DiffOptions& options);

@@ -3,9 +3,9 @@
 // A metric series is keyed by its name *string*: a typo at one call site
 // does not fail to compile, it silently creates a second series that
 // dashboards and the schema checker then miss. Every name shared between
-// an emitter and a consumer (report schema checks, bench_compare
-// tolerances, mntp-inspect tables, tests) therefore lives here, and call
-// sites reference the constant.
+// an emitter and a consumer (report schema checks, mntp-inspect tables
+// and its diff gate, tests) therefore lives here, and call sites
+// reference the constant.
 //
 // Naming convention: `<layer>.<component>.<quantity>` for metrics
 // (layer prefixes sim./net./ntp./mntp./tuner. are what the CTest schema

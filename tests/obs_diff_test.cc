@@ -1,14 +1,22 @@
 // Cross-run diff engine (obs/diff.h): per-kind significance semantics,
-// the bench_compare.py gate math, profile span attribution, accounting
-// reconciliation classes, query-trace share shifts, timeline divergence
-// scoring, and the load/kind-mismatch error paths. All fixtures are
-// written to gtest's temp dir so the suite runs from any CWD.
+// the bench gate math and its within-candidate budgets, profile span
+// attribution, accounting reconciliation classes, query-trace share
+// shifts, timeline divergence scoring, the load/kind-mismatch error
+// paths, and a seeded fuzz-style pass over mutated copies of the
+// committed fixtures. Generated inputs are written to gtest's temp dir
+// so the suite runs from any CWD.
 #include "obs/diff.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <random>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/json.h"
 
@@ -123,9 +131,9 @@ TEST(DiffBench, SelfDiffIsCleanAndExitsZero) {
   EXPECT_EQ(r.value().exit_code(), 0);
 }
 
-TEST(DiffBench, GateMatchesBenchCompareAllowance) {
+TEST(DiffBench, GateLimitIsInclusive) {
   // limit = 1000 * (1 + 0.5) + max(200, 4*10) = 1700: exactly at the
-  // limit passes (bench_compare uses <=), one microsecond over fails.
+  // limit passes (the gate uses <=), one microsecond over fails.
   const std::string base = write_file("bench_b.json", bench_doc(1000.0, 10.0));
   const std::string at = write_file("bench_c.json", bench_doc(1700.0, 10.0));
   const std::string over = write_file("bench_d.json", bench_doc(1701.0, 10.0));
@@ -180,6 +188,70 @@ TEST(DiffBench, MissingWorkloadFailsNewWorkloadNotes) {
   EXPECT_EQ(fresh->cls, "added");
   EXPECT_FALSE(fresh->regression);
   EXPECT_EQ(added.value().exit_code(), 0);
+}
+
+TEST(DiffBench, BudgetLimitMissingWorkloadsAndSpecs) {
+  // engine_round may cost at most 50% over tuner_grid_slice (200 us),
+  // both read from the candidate: 300 is exactly the limit, 301 is over.
+  // The per-workload gate alone passes both pairs (200 us floor).
+  const std::string at = write_file("budget_a.json", bench_doc(300.0, 1.0));
+  const std::string over = write_file("budget_b.json", bench_doc(301.0, 1.0));
+  const auto with_budget = [](const char* spec) {
+    DiffOptions opt;
+    opt.budgets.push_back(parse_budget(spec).value());
+    return opt;
+  };
+  const DiffOptions opt = with_budget("engine_round:tuner_grid_slice:50");
+  auto r_at = diff_files(at, at, opt);
+  ASSERT_TRUE(r_at.ok()) << r_at.error().message;
+  ASSERT_EQ(r_at.value().sections.size(), 2u);
+  EXPECT_EQ(r_at.value().sections[1].title, "budgets");
+  const DiffEntry* e = find_entry(r_at.value(), opt.budgets[0].spec);
+  ASSERT_NE(e, nullptr);
+  EXPECT_DOUBLE_EQ(e->before, 200.0);
+  EXPECT_DOUBLE_EQ(e->after, 300.0);
+  EXPECT_FALSE(e->regression);
+  EXPECT_EQ(r_at.value().exit_code(), 0);
+
+  auto r_over = diff_files(at, over, opt);
+  ASSERT_TRUE(r_over.ok());
+  EXPECT_TRUE(r_over.value().sections[1].entries[0].regression);
+  EXPECT_EQ(r_over.value().regressions, 1u);
+  EXPECT_EQ(r_over.value().exit_code(), 1);
+  EXPECT_NE(render_diff_json(r_over.value(), opt).find("\"budgets\""),
+            std::string::npos);
+
+  // A missing A or B fails the budget.
+  for (const char* spec :
+       {"nope:tuner_grid_slice:50", "engine_round:nope:50"}) {
+    auto r = diff_files(at, at, with_budget(spec));
+    ASSERT_TRUE(r.ok());
+    const DiffEntry* m = find_entry(r.value(), spec);
+    ASSERT_NE(m, nullptr) << spec;
+    EXPECT_NE(m->note.find("'nope' missing"), std::string::npos) << m->note;
+    EXPECT_EQ(r.value().exit_code(), 1) << spec;
+  }
+
+  for (const char* bad : {"a:b", "a:b:x", "a:b:", ":b:3", "a::3", "a:b:3:4",
+                          "a:b:3x", "a:b:nan", ""}) {
+    EXPECT_FALSE(parse_budget(bad).ok()) << bad;
+  }
+  // Budgets only mean something for bench pairs.
+  const std::string prof = write_file("budget_c.json", profile_doc("p", 1, 1));
+  EXPECT_FALSE(diff_files(prof, prof, opt).ok());
+}
+
+TEST(DiffBench, EnvironmentMismatchWarns) {
+  const std::string plain = write_file("env_a.json", bench_doc(1000.0, 10.0));
+  const std::string debug = write_file(
+      "env_b.json", "{\"environment\":{\"build_type\":\"Debug\"}," +
+                        bench_doc(1000.0, 10.0).substr(1));
+  EXPECT_TRUE(diff_files(plain, plain, {}).value().warnings.empty());
+  auto r = diff_files(plain, debug, {});
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value().warnings.size(), 1u);
+  EXPECT_NE(r.value().warnings[0].find("build_type"), std::string::npos);
+  EXPECT_EQ(r.value().exit_code(), 0);  // a warning, not a failure
 }
 
 TEST(DiffProfile, PerturbedSpanIsTopContributor) {
@@ -312,6 +384,116 @@ TEST(DiffErrors, MixedKindsMalformedAndUnsupported) {
   ASSERT_FALSE(unsupported.ok());
   EXPECT_NE(unsupported.error().message.find("unsupported artifact kind"),
             std::string::npos);
+
+  // A bench number the gate reads must be a finite non-negative number
+  // on either side; none of these may pass as 0.
+  const std::string fast = write_file("err_f.json", bench_doc(100.0, 1.0));
+  const std::string good = bench_doc(1000.0, 10.0);
+  const std::pair<std::string, std::string> swaps[] = {
+      {"\"median_us\":1000.000000", "\"median_us\":\"5000\""},
+      {"\"median_us\":1000.000000,", ""},
+      {"\"median_us\":1000.000000", "\"median_us\":-1"},
+      {"\"median_us\":1000.000000", "\"median_us\":1e999"},
+      {"\"median_us\":1000.000000", "\"median_us\":null"},
+      {"\"mad_us\":10.000000", "\"mad_us\":\"10\""},
+      {",\"mad_us\":10.000000", ""}};
+  for (const auto& [from, to] : swaps) {
+    std::string doc = good;
+    const auto at = doc.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    doc.replace(at, from.size(), to);
+    const std::string path = write_file("err_num.json", doc);
+    for (const auto& [a, b] : {std::pair{path, fast}, std::pair{fast, path}}) {
+      auto r = diff_files(a, b, {});
+      ASSERT_FALSE(r.ok()) << doc;
+      EXPECT_EQ(r.error().code, core::Error::Code::kMalformedPacket) << doc;
+      EXPECT_NE(r.error().message.find("engine_round"), std::string::npos)
+          << r.error().message;
+    }
+  }
+}
+
+/// Seeded, fuzz-style robustness pass over the two loaders CI feeds
+/// (bench and profile): byte flips, truncations and value-type swaps of
+/// the numbers the diff reads. Every variant must come back as a result
+/// or an error, in either argument position, and never crash or abort.
+/// A type swap of a bench median is always an error.
+TEST(DiffFuzz, MutatedFixturesReturnResultOrError) {
+  std::mt19937_64 rng(20160101);  // fixed: the same variants every run
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::string replacements[] = {"\"12\"", "null", "true", "[]", "{}",
+                                      "-1", "1e999", "\"\"", "[1,2]"};
+  std::size_t results = 0, errors = 0;
+  for (const auto& [fixture, keys] :
+       std::vector<std::pair<std::string, std::vector<std::string>>>{
+           {"diff_bench_base.json", {"\"median_us\": "}},
+           {"diff_profile_base.json", {"\"dur\": ", "\"self_us\": "}}}) {
+    const std::string original =
+        std::string(MNTP_TEST_DATA_DIR) + "/" + fixture;
+    std::ifstream in(original);
+    ASSERT_TRUE(in.good()) << original;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string text = buffer.str();
+    ASSERT_FALSE(text.empty());
+    DiffOptions opt;
+    if (fixture.find("bench") != std::string::npos) {
+      opt.budgets.push_back(
+          parse_budget("engine_round:tuner_grid_slice:3").value());
+    }
+    for (int i = 0; i < 200; ++i) {
+      std::string doc = text;
+      bool bench_type_swap = false;
+      switch (i % 3) {
+        case 0:  // flip 1-4 random bytes
+          for (std::size_t n = 1 + pick(4); n > 0; --n) {
+            doc[pick(doc.size())] = static_cast<char>(rng() & 0xff);
+          }
+          break;
+        case 1:  // truncate anywhere
+          doc.resize(pick(doc.size()));
+          break;
+        default: {  // swap the value type behind one numeric key
+          const std::string& key = keys[pick(keys.size())];
+          std::vector<std::size_t> sites;
+          for (auto at = doc.find(key); at != std::string::npos;
+               at = doc.find(key, at + 1)) {
+            sites.push_back(at + key.size());
+          }
+          ASSERT_FALSE(sites.empty()) << key;
+          const std::size_t start = sites[pick(sites.size())];
+          const std::size_t end = doc.find_first_of(",}", start);
+          const std::string& value =
+              replacements[pick(std::size(replacements))];
+          doc.replace(start, end - start, value);
+          bench_type_swap = key == "\"median_us\": ";
+          break;
+        }
+      }
+      const std::string variant = write_file("fuzz_" + fixture, doc);
+      for (const auto& [a, b] :
+           {std::pair{variant, original}, std::pair{original, variant}}) {
+        auto r = diff_files(a, b, opt);
+        if (r.ok()) {
+          ++results;
+          // Rendering must survive whatever the loader accepted.
+          EXPECT_FALSE(render_diff_text(r.value(), opt).empty());
+          EXPECT_FALSE(render_diff_json(r.value(), opt).empty());
+        } else {
+          ++errors;
+          EXPECT_FALSE(r.error().message.empty());
+        }
+        if (bench_type_swap) {
+          EXPECT_FALSE(r.ok()) << doc;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the harness reaches past the parser.
+  EXPECT_GT(results, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 TEST(DiffRender, JsonOutputParsesAndMatchesTallies) {

@@ -932,13 +932,22 @@ int main(int argc, char** argv) {
       if (!take_value(value) || !parse_size_arg(value, opt.diff_opt.top)) {
         return bad_value(flag, value);
       }
+    } else if (flag == "--budget") {
+      auto budget = mntp::obs::parse_budget(take_value(value) ? value : "");
+      if (!budget.ok()) {
+        std::fprintf(stderr, "mntp-inspect: %s\n",
+                     budget.error().message.c_str());
+        return 2;
+      }
+      opt.diff_opt.budgets.push_back(budget.value());
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: mntp-inspect [--sigma N] <file>...\n"
           "       mntp-inspect explain [--query ID] [--limit N] <trace>...\n"
           "       mntp-inspect timeline [--series S] [--width N] <timeline>...\n"
           "       mntp-inspect diff [--json] [--tolerance R] [--abs-floor-us N]\n"
-          "                         [--sigma N] [--divergence D] [--top N] <A> <B>\n"
+          "                         [--sigma N] [--divergence D] [--top N]\n"
+          "                         [--budget A:B:PCT]... <A> <B>\n"
           "  summarizes JSONL run reports, Chrome span profiles,\n"
           "  BENCH_results.json files, query-trace and timeline JSONL (kind\n"
           "  detected from content). `explain` adds per-query causal\n"
@@ -947,7 +956,7 @@ int main(int argc, char** argv) {
           "  sparklines with step-change flags (--series filters by\n"
           "  substring, --width sets sparkline columns).\n"
           "  `diff` compares two artifacts of the same kind and attributes\n"
-          "  the change: bench medians gate with the bench_compare.py math,\n"
+          "  the change: bench medians gate (plus --budget caps within <B>),\n"
           "  profile spans rank by self-time contribution, report counters\n"
           "  get exact-reconciliation classes, query traces compare verdict\n"
           "  shares, timelines score per-series divergence; --json emits the\n"
@@ -974,7 +983,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: mntp-inspect diff [--json] [--tolerance R] "
                    "[--abs-floor-us N] [--sigma N] [--divergence D] "
-                   "[--top N] <A> <B>\n");
+                   "[--top N] [--budget A:B:PCT]... <A> <B>\n");
       return 2;
     }
     auto result = mntp::obs::diff_files(paths[0], paths[1], opt.diff_opt);
@@ -982,6 +991,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "mntp-inspect: diff: %s\n",
                    result.error().message.c_str());
       return 2;
+    }
+    for (const std::string& w : result.value().warnings) {
+      std::fprintf(stderr, "mntp-inspect: diff: warning: %s\n", w.c_str());
     }
     const std::string rendered =
         opt.json ? mntp::obs::render_diff_json(result.value(), opt.diff_opt)

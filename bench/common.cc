@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <string_view>
-#include <system_error>
 
 #include "core/format.h"
 #include "core/thread_pool.h"
-#include "obs/metric_names.h"
 
 namespace mntp::bench {
 
@@ -164,10 +160,8 @@ namespace {
 constexpr Flag kTelemetryFlags[] = {
     {"--telemetry-out", "PATH"},       {"--profile-out", "PATH"},
     {"--query-trace-out", "PATH"},     {"--query-trace-sample", "N"},
-    {"--query-trace-seed", "S"},       {"--query-trace-reservoir", "M"},
-    {"--query-trace-stream", nullptr}, {"--trace-stream-out", "PATH"},
-    {"--timeline-out", "PATH"},        {"--timeline-cadence-ms", "MS"},
-    {"--obs-self", nullptr},
+    {"--query-trace-seed", "S"},       {"--timeline-out", "PATH"},
+    {"--timeline-cadence-ms", "MS"},
 };
 
 void print_usage(std::FILE* out, const char* prog,
@@ -209,8 +203,13 @@ void check_flags(int argc, char** argv, std::initializer_list<Flag> own,
     const char* error = nullptr;
     if (flag == nullptr) {
       error = "unknown argument";
-    } else if (flag->value != nullptr && !inline_value && ++i >= argc) {
+    } else if (flag->value == nullptr) {
+      if (inline_value) error = "no value allowed for";
+    } else if (!inline_value && ++i >= argc) {
       error = "missing value for";
+    } else if (inline_value ? name.size() + 1 == arg.size()
+                            : *argv[i] == '\0') {
+      error = "empty value for";
     }
     if (error != nullptr) {
       std::fprintf(stderr, "%s: %s '%s'\n", argv[0], error,
@@ -273,13 +272,8 @@ double parse_double_flag(int argc, char** argv, const char* flag,
 }
 
 bool parse_bool_flag(int argc, char** argv, const char* flag) {
-  const std::size_t flag_len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, flag) == 0) return true;
-    if (std::strncmp(arg, flag, flag_len) == 0 && arg[flag_len] == '=') {
-      return true;
-    }
+    if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
 }
@@ -338,43 +332,17 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       profile_path_(parse_flag(argc, argv, "--profile-out")),
       query_trace_path_(parse_flag(argc, argv, "--query-trace-out")),
       timeline_path_(parse_flag(argc, argv, "--timeline-out")),
-      obs_self_(parse_bool_flag(argc, argv, "--obs-self")),
       scope_(telemetry_) {
   if (enabled()) telemetry_.add_sink(&trace_);
   if (profiling()) telemetry_.profiler().set_enabled(true);
   if (query_tracing()) {
     obs::QueryTracer& qt = telemetry_.query_tracer();
     qt.set_enabled(true);
-    obs::QueryTracer::Sampling sampling;
-    sampling.sample_one_in_n = std::max<std::size_t>(
-        1, parse_size_flag(argc, argv, "--query-trace-sample", 1));
-    sampling.seed = parse_size_flag(argc, argv, "--query-trace-seed", 0);
-    sampling.reservoir =
-        parse_size_flag(argc, argv, "--query-trace-reservoir", 0);
-    if (sampling.sample_one_in_n > 1 || sampling.reservoir > 0) {
-      qt.set_sampling(sampling);
-    }
-    if (parse_bool_flag(argc, argv, "--query-trace-stream")) {
-      if (query_stream_.open(query_trace_path_)) {
-        qt.set_stream(&query_stream_);
-        query_streaming_ = true;
-      } else {
-        std::fprintf(stderr,
-                     "query trace stream failed to open %s; "
-                     "falling back to batch export\n",
-                     query_trace_path_.c_str());
-      }
-    }
-  }
-  const std::string trace_stream_path =
-      parse_flag(argc, argv, "--trace-stream-out");
-  if (!trace_stream_path.empty()) {
-    if (event_stream_.open(trace_stream_path)) {
-      telemetry_.add_sink(&event_stream_);
-    } else {
-      std::fprintf(stderr, "trace stream failed to open %s\n",
-                   trace_stream_path.c_str());
-    }
+    // set_sampling reads 0 as 1; 1 keeps every trace.
+    qt.set_sampling(
+        {.sample_one_in_n =
+             parse_size_flag(argc, argv, "--query-trace-sample", 1),
+         .seed = parse_size_flag(argc, argv, "--query-trace-seed", 0)});
   }
   if (timeline_enabled()) {
     const std::size_t cadence_ms =
@@ -383,13 +351,6 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
         core::Duration::milliseconds(std::max<std::size_t>(1, cadence_ms)));
     telemetry_.timeseries().set_enabled(true);
   }
-}
-
-void BenchTelemetry::account_artifact(const std::string& path) {
-  if (!obs_self_) return;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec) artifact_bytes_ += size;
 }
 
 bool BenchTelemetry::write_report(core::TimePoint sim_end) {
@@ -423,20 +384,13 @@ bool BenchTelemetry::write_profile() {
                   telemetry_.profiler().total_spans()),
               static_cast<unsigned long long>(
                   telemetry_.profiler().dropped()));
-  account_artifact(profile_path_);
   return true;
 }
 
 bool BenchTelemetry::write_query_trace(core::TimePoint sim_end) {
   if (!query_tracing()) return true;
   obs::QueryTracer& qt = telemetry_.query_tracer();
-  if (query_streaming_) {
-    if (!qt.finish_stream(run_name_, sim_end)) {
-      std::fprintf(stderr, "query trace stream failed: %s\n",
-                   query_trace_path_.c_str());
-      return false;
-    }
-  } else if (!qt.write_jsonl_file(query_trace_path_, run_name_, sim_end)) {
+  if (!qt.write_jsonl_file(query_trace_path_, run_name_, sim_end)) {
     std::fprintf(stderr, "query trace failed: %s\n",
                  query_trace_path_.c_str());
     return false;
@@ -445,19 +399,14 @@ bool BenchTelemetry::write_query_trace(core::TimePoint sim_end) {
               query_trace_path_.c_str(),
               static_cast<unsigned long long>(qt.minted()),
               static_cast<unsigned long long>(qt.dropped()));
-  account_artifact(query_trace_path_);
   return true;
 }
 
 bool BenchTelemetry::write_timeline(core::TimePoint sim_end) {
   if (!timeline_enabled()) return true;
   const obs::TimeSeriesRecorder& ts = telemetry_.timeseries();
-  // The chunked writer produces byte-identical output to
-  // write_timeline_file (shared line serializers) while flushing in
-  // bounded chunks and metering bytes/flushes for obs.self.*.
-  std::uint64_t bytes = 0;
-  const core::Status status = obs::write_timeline_chunked(
-      timeline_path_, ts, run_name_, sim_end, &bytes, &timeline_flushes_);
+  const core::Status status =
+      obs::write_timeline_file(timeline_path_, ts, run_name_, sim_end);
   if (!status.ok()) {
     std::fprintf(stderr, "timeline failed: %s\n",
                  status.error().message.c_str());
@@ -466,27 +415,10 @@ bool BenchTelemetry::write_timeline(core::TimePoint sim_end) {
   std::printf("timeline: %s (%zu series, %llu samples)\n",
               timeline_path_.c_str(), ts.series_count(),
               static_cast<unsigned long long>(ts.samples_taken()));
-  if (obs_self_) artifact_bytes_ += bytes;
-  return true;
-}
-
-bool BenchTelemetry::close_event_stream(core::TimePoint sim_end) {
-  if (!event_streaming()) return true;
-  if (!event_stream_.close(run_name_, sim_end)) {
-    std::fprintf(stderr, "trace stream close failed\n");
-    return false;
-  }
-  // Counters survive close(); read them after so the final flush counts.
-  const std::uint64_t bytes = event_stream_.bytes_written();
-  std::printf("trace stream: %llu events (%llu bytes)\n",
-              static_cast<unsigned long long>(event_stream_.events()),
-              static_cast<unsigned long long>(bytes));
-  if (obs_self_) artifact_bytes_ += bytes;
   return true;
 }
 
 bool BenchTelemetry::finalize(core::TimePoint sim_end) {
-  bool ok = true;
   // Export span aggregates BEFORE the run report so profile.span.*
   // gauges are serialized alongside the run's other metrics.
   if (profiling()) {
@@ -497,56 +429,14 @@ bool BenchTelemetry::finalize(core::TimePoint sim_end) {
   // out on purpose" from "lost". Off the sampling path the metric set
   // (and so the report artifact) stays byte-identical to earlier
   // releases.
-  const obs::QueryTracer::Sampling sampling =
-      telemetry_.query_tracer().sampling();
-  const bool sampling_on =
-      sampling.sample_one_in_n > 1 || sampling.reservoir > 0;
-  if (!obs_self_ && query_tracing() && (sampling_on || query_streaming_)) {
+  if (query_tracing() &&
+      telemetry_.query_tracer().sampling().sample_one_in_n > 1) {
     telemetry_.query_tracer().export_counters(telemetry_.metrics());
   }
-  if (!obs_self_) {
-    // Historical order, byte-identical stdout.
-    ok = write_report(sim_end) && ok;
-    ok = write_profile() && ok;
-    ok = write_query_trace(sim_end) && ok;
-    ok = write_timeline(sim_end) && ok;
-    ok = close_event_stream(sim_end) && ok;
-    return ok;
-  }
-  // Self-metering: write every other artifact first so its cost is
-  // known, fold the obs.self.* family into the registry, and write the
-  // report LAST so it carries the measurements. (The report cannot
-  // account its own bytes; obs.self.bytes_written covers the profile,
-  // query-trace, timeline and stream artifacts.)
+  bool ok = write_report(sim_end);
   ok = write_profile() && ok;
   ok = write_query_trace(sim_end) && ok;
   ok = write_timeline(sim_end) && ok;
-  ok = close_event_stream(sim_end) && ok;
-  obs::MetricsRegistry& metrics = telemetry_.metrics();
-  const auto merge_start = std::chrono::steady_clock::now();
-  const std::size_t merged_series = metrics.snapshot().size();
-  const double merge_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - merge_start)
-          .count();
-  if (query_tracing()) {
-    telemetry_.query_tracer().export_counters(metrics);
-  }
-  metrics.counter(obs::metric_names::kObsSelfBytesWritten)
-      ->inc(artifact_bytes_);
-  metrics.counter(obs::metric_names::kObsSelfStreamFlushes)
-      ->inc(query_stream_.flushes() + event_stream_.flushes() +
-            timeline_flushes_);
-  metrics.gauge(obs::metric_names::kObsSelfMergeWallUs)->set(merge_us);
-  std::printf(
-      "telemetry self: %llu artifact bytes, %llu stream flushes, "
-      "merge %zu series in %.1f us\n",
-      static_cast<unsigned long long>(artifact_bytes_),
-      static_cast<unsigned long long>(query_stream_.flushes() +
-                                      event_stream_.flushes() +
-                                      timeline_flushes_),
-      merged_series, merge_us);
-  ok = write_report(sim_end) && ok;
   return ok;
 }
 

@@ -23,7 +23,6 @@
 #include "ntp/sntp_client.h"
 #include "ntp/testbed.h"
 #include "obs/report.h"
-#include "obs/streaming.h"
 #include "obs/telemetry.h"
 #include "obs/trace_event.h"
 #include "sim/replicate.h"
@@ -147,9 +146,10 @@ struct Flag {
 /// must be one of `own` or, when `telemetry` (the binary constructs a
 /// BenchTelemetry), one of the BenchTelemetry flags, given as
 /// `--flag value`, `--flag=value` or, for a switch, `--flag`. `--help`
-/// prints usage to stdout and exits 0; an unknown argument or a missing
-/// value prints usage to stderr and exits 2 — a mistyped flag must not
-/// silently run the default.
+/// prints usage to stdout and exits 0; an unknown argument, a missing or
+/// empty value, or a value given to a switch (`--switch=0`) prints usage
+/// to stderr and exits 2 — a mistyped flag must not silently run the
+/// default.
 void check_flags(int argc, char** argv, std::initializer_list<Flag> own,
                  bool telemetry = true);
 
@@ -167,8 +167,8 @@ std::size_t parse_size_flag(int argc, char** argv, const char* flag,
 /// exits 2.
 double parse_double_flag(int argc, char** argv, const char* flag, double def);
 
-/// True when the bare flag is present (`--flag`; `--flag=anything` also
-/// counts). For switches that carry no value.
+/// True when the bare switch `--flag` is present (check_flags rejects
+/// `--flag=value` for a switch).
 bool parse_bool_flag(int argc, char** argv, const char* flag);
 
 /// Per-run telemetry harness for bench binaries.
@@ -193,24 +193,17 @@ bool parse_bool_flag(int argc, char** argv, const char* flag);
 /// with `mntp-inspect timeline`). Without any flag the run pays only
 /// counter increments and finalize() is a no-op.
 ///
-/// Fleet-scale knobs (all opt-in; without them every artifact and stdout
-/// line is byte-identical to the plain flags above):
+/// `--query-trace-sample N` (opt-in; without it every artifact and stdout
+/// line is byte-identical to the plain flags above) keeps a deterministic
+/// 1-in-N of the traces (hash-of-id gate; see QueryTracer::Sampling),
+/// with `--query-trace-seed S` (default 0) selecting the kept set. The
+/// tracer holds every kept trace until finalize(), so the gate divides
+/// its memory; QueryTracer::Limits::max_queries caps it. The run report
+/// then also carries the obs.query_trace.{kept,sampled_out,dropped}
+/// reconciliation counters.
 ///
-///   * `--query-trace-sample N` — deterministic 1-in-N trace sampling
-///     (hash-of-id gate; see QueryTracer::Sampling), with
-///     `--query-trace-seed S` (default 0) selecting the kept set and
-///     `--query-trace-reservoir M` capping it at M traces.
-///   * `--query-trace-stream` — stream finished traces straight to
-///     --query-trace-out through a bounded reorder buffer instead of
-///     retaining them (obs/streaming.h); memory stays O(open queries).
-///   * `--trace-stream-out <path>` — stream trace events to a JSONL
-///     file (kind "mntp_trace_events") as they are emitted, unbounded by
-///     the ring buffer's capacity.
-///   * `--obs-self` — meter the telemetry itself: finalize() writes the
-///     run report LAST and folds an obs.self.* metric family (artifact
-///     bytes, stream flushes, registry merge wall time) plus the
-///     obs.query_trace.{kept,sampled_out,dropped} reconciliation
-///     counters into it.
+/// Each artifact has one writer, called from finalize() in a fixed
+/// order: run report, profile, query trace, timeline.
 class BenchTelemetry {
  public:
   BenchTelemetry(std::string run_name, int argc, char** argv);
@@ -242,15 +235,6 @@ class BenchTelemetry {
     return telemetry_.timeseries();
   }
 
-  /// True when --query-trace-stream was passed (and the sink opened).
-  [[nodiscard]] bool query_trace_streaming() const { return query_streaming_; }
-  /// True when --trace-stream-out was passed (and the sink opened).
-  [[nodiscard]] bool event_streaming() const {
-    return event_stream_.is_open();
-  }
-  /// True when --obs-self was passed (self-overhead metering).
-  [[nodiscard]] bool self_metering() const { return obs_self_; }
-
   /// Write the report / Chrome trace / query trace (no-op without the
   /// flags). Returns false and prints to stderr on I/O failure.
   bool finalize(core::TimePoint sim_end);
@@ -260,23 +244,14 @@ class BenchTelemetry {
   bool write_profile();
   bool write_query_trace(core::TimePoint sim_end);
   bool write_timeline(core::TimePoint sim_end);
-  bool close_event_stream(core::TimePoint sim_end);
-  /// Adds the on-disk size of `path` to artifact_bytes_ (self-metering).
-  void account_artifact(const std::string& path);
 
   std::string run_name_;
   std::string out_path_;
   std::string profile_path_;
   std::string query_trace_path_;
   std::string timeline_path_;
-  bool query_streaming_ = false;
-  bool obs_self_ = false;
-  std::uint64_t artifact_bytes_ = 0;
-  std::uint64_t timeline_flushes_ = 0;
   obs::Telemetry telemetry_;
   obs::RingBufferSink trace_;
-  obs::StreamingQueryTraceSink query_stream_;
-  obs::StreamingTraceEventSink event_stream_;
   obs::ScopedTelemetry scope_;
 };
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate MNTP observability artifacts.
 
-Eight artifact kinds, detected from content (or forced with --kind):
+Seven artifact kinds, detected from content (or forced with --kind):
 
   * `report` — JSONL telemetry run report (schema v1, src/obs/report.h):
     line 1 is a `meta` object with schema_version 1 and run/sim_end_ns/
@@ -28,16 +28,9 @@ Eight artifact kinds, detected from content (or forced with --kind):
     from the closed enum of src/obs/reason_codes.h, and a flat fields
     object; at most one `verdict` stage exists per query and it must be
     the last; the meta query_count matches the query-line count. When
-    the meta carries a `sampling` block (deterministic sampling or a
-    reservoir was active, QueryTracer::Sampling) its accounting must
-    conserve ids: minted == kept + sampled_out + dropped and
-    query_count == kept - reorder_dropped. Streamed artifacts
-    (--query-trace-stream) additionally carry `streamed` and
-    `reorder_dropped` meta keys.
-  * `trace-events` — streamed trace-event JSONL written by
-    --trace-stream-out (kind mntp_trace_events, src/obs/streaming.h):
-    line 1 is a close-patched `meta` object; every following line is an
-    `event` with non-decreasing t_ns; event_count matches the body.
+    the meta carries a `sampling` block (--query-trace-sample,
+    QueryTracer::Sampling) its accounting must conserve ids:
+    minted == kept + sampled_out + dropped and query_count == kept.
   * `diff` — cross-run triage record written by `mntp-inspect diff
     --json` (kind mntp_diff, src/obs/diff.h): schema_version 1, the
     diffed artifact kind, a/b provenance, the significance options,
@@ -386,23 +379,15 @@ def check_query_trace_meta(obj, lineno):
     for key in ("sim_end_ns", "query_count", "dropped", "dropped_stages"):
         if not isinstance(obj[key], int) or obj[key] < 0:
             fail(lineno, f"meta '{key}' must be a non-negative integer")
-    # Streaming keys (only present when the artifact was streamed through
-    # StreamingQueryTraceSink, src/obs/streaming.h).
-    if "streamed" in obj and not isinstance(obj["streamed"], bool):
-        fail(lineno, "meta 'streamed' must be a boolean")
-    if "reorder_dropped" in obj and (
-            not isinstance(obj["reorder_dropped"], int)
-            or obj["reorder_dropped"] < 0):
-        fail(lineno, "meta 'reorder_dropped' must be a non-negative integer")
-    # Sampling block (only present when deterministic sampling or a
-    # reservoir was active, QueryTracer::Sampling): every minted id must
-    # end exactly one way — kept, sampled out, or dropped.
+    # Sampling block (only present when deterministic sampling was
+    # active, QueryTracer::Sampling): every minted id must end exactly one
+    # way — kept, sampled out, or dropped.
     if "sampling" in obj:
         s = obj["sampling"]
         if not isinstance(s, dict):
             fail(lineno, "meta 'sampling' must be an object")
-        for key in ("sample_one_in_n", "seed", "reservoir", "minted",
-                    "kept", "sampled_out"):
+        for key in ("sample_one_in_n", "seed", "minted", "kept",
+                    "sampled_out"):
             if key not in s:
                 fail(lineno, f"sampling missing '{key}'")
             if not isinstance(s[key], int) or s[key] < 0:
@@ -414,10 +399,9 @@ def check_query_trace_meta(obj, lineno):
             fail(lineno, f"sampling accounting broken: minted {s['minted']}"
                          f" != kept {s['kept']} + sampled_out "
                          f"{s['sampled_out']} + dropped {obj['dropped']}")
-        reorder_dropped = obj.get("reorder_dropped", 0)
-        if obj["query_count"] != s["kept"] - reorder_dropped:
+        if obj["query_count"] != s["kept"]:
             fail(lineno, f"query_count {obj['query_count']} != kept "
-                         f"{s['kept']} - reorder_dropped {reorder_dropped}")
+                         f"{s['kept']}")
 
 
 def check_query_stage(stage, qid, i, lineno):
@@ -507,64 +491,6 @@ def validate_query_trace(path):
             f"SCHEMA ERROR: meta query_count {meta['query_count']} != "
             f"{queries} query lines")
     print(f"OK: {path} — query trace with {queries} queries, "
-          f"run '{meta['run']}'")
-
-
-def validate_trace_events(path):
-    """Streamed trace-event JSONL from --trace-stream-out
-    (kind mntp_trace_events, src/obs/streaming.h): the meta line is
-    patched at close with the final event_count; every other line is an
-    event with non-decreasing t_ns (emission order is sim order)."""
-    meta = None
-    events_seen = 0
-    last_t_ns = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                fail(lineno, "blank line")
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                fail(lineno, f"invalid JSON: {e}")
-            kind = obj.get("type")
-            if lineno == 1:
-                if kind != "meta":
-                    fail(lineno, "first line must be the meta object")
-                for key in ("schema_version", "kind", "run", "sim_end_ns",
-                            "event_count"):
-                    if key not in obj:
-                        fail(lineno, f"meta missing '{key}'")
-                if obj["schema_version"] != 1:
-                    fail(lineno, f"unsupported schema_version "
-                                 f"{obj['schema_version']}")
-                if obj["kind"] != "mntp_trace_events":
-                    fail(lineno, f"meta kind must be 'mntp_trace_events', "
-                                 f"got {obj['kind']!r}")
-                for key in ("sim_end_ns", "event_count"):
-                    if not isinstance(obj[key], int) or obj[key] < 0:
-                        fail(lineno, f"meta '{key}' must be a non-negative "
-                                     "integer")
-                meta = obj
-                continue
-            if kind == "meta":
-                fail(lineno, "duplicate meta line")
-            if kind != "event":
-                fail(lineno, f"unknown line type '{kind}'")
-            check_event(obj, lineno)
-            if last_t_ns is not None and obj["t_ns"] < last_t_ns:
-                fail(lineno, f"event t_ns {obj['t_ns']} out of order "
-                             f"(previous {last_t_ns})")
-            last_t_ns = obj["t_ns"]
-            events_seen += 1
-
-    if meta is None:
-        raise SystemExit("SCHEMA ERROR: empty trace-event stream")
-    if meta["event_count"] != events_seen:
-        raise SystemExit(
-            f"SCHEMA ERROR: meta event_count {meta['event_count']} != "
-            f"{events_seen} event lines")
-    print(f"OK: {path} — trace-event stream with {events_seen} events, "
           f"run '{meta['run']}'")
 
 
@@ -930,26 +856,25 @@ def validate_fleet(path):
 
 
 def detect_kind(path):
-    """Whole-file JSON => profile/bench; otherwise JSONL run report."""
+    """Whole-file JSON => profile/bench/...; otherwise JSONL by meta kind,
+    where a meta with no kind is a run report and any other kind fails."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError):
-        # JSONL: the first line's meta kind separates the two.
         try:
             with open(path, "r", encoding="utf-8") as f:
                 first = json.loads(f.readline())
-            if isinstance(first, dict) and \
-                    first.get("kind") == "mntp_query_trace":
-                return "query-trace"
-            if isinstance(first, dict) and \
-                    first.get("kind") == "mntp_timeline":
-                return "timeline"
-            if isinstance(first, dict) and \
-                    first.get("kind") == "mntp_trace_events":
-                return "trace-events"
         except (json.JSONDecodeError, UnicodeDecodeError):
-            pass
+            return "report"  # validate() reports the bad first line
+        kind = first.get("kind", "") if isinstance(first, dict) else ""
+        if kind == "mntp_query_trace":
+            return "query-trace"
+        if kind == "mntp_timeline":
+            return "timeline"
+        if kind and first.get("type") == "meta":
+            raise SystemExit(f"SCHEMA ERROR: {path}: unrecognized artifact "
+                             f"kind {kind!r} (pass --kind to force)")
         return "report"
     if isinstance(doc, dict) and "traceEvents" in doc:
         return "profile"
@@ -965,9 +890,6 @@ def detect_kind(path):
     # Likewise a timeline with no non-empty series.
     if isinstance(doc, dict) and doc.get("kind") == "mntp_timeline":
         return "timeline"
-    # And an event stream that captured zero events.
-    if isinstance(doc, dict) and doc.get("kind") == "mntp_trace_events":
-        return "trace-events"
     raise SystemExit(f"SCHEMA ERROR: {path}: unrecognized artifact "
                      "(pass --kind to force)")
 
@@ -977,7 +899,7 @@ def main():
     parser.add_argument("artifact", nargs="?", help="artifact to validate")
     parser.add_argument("--kind",
                         choices=("report", "profile", "bench", "query-trace",
-                                 "timeline", "trace-events", "diff", "fleet"),
+                                 "timeline", "diff", "fleet"),
                         help="artifact kind; detected from content if omitted")
     parser.add_argument("--generate", metavar="BINARY",
                         help="bench binary to run with --telemetry-out "
@@ -986,7 +908,7 @@ def main():
     parser.add_argument("--extra-args", default="",
                         help="space-separated extra flags appended to the "
                              "--generate command (e.g. "
-                             "'--query-trace-sample 4 --query-trace-stream')")
+                             "'--query-trace-sample 4')")
     parser.add_argument("--require-prefixes", default="",
                         help="comma-separated metric-name prefixes that must "
                              "each match at least one metric (report kind)")
@@ -999,7 +921,6 @@ def main():
         flag = {"profile": "--profile-out",
                 "query-trace": "--query-trace-out",
                 "timeline": "--timeline-out",
-                "trace-events": "--trace-stream-out",
                 "fleet": "--fleet-out"}.get(args.kind, "--telemetry-out")
         # The bench's own PASS/FAIL shape checks are not under test here;
         # only the telemetry output is.
@@ -1019,8 +940,6 @@ def main():
         validate_query_trace(path)
     elif kind == "timeline":
         validate_timeline(path)
-    elif kind == "trace-events":
-        validate_trace_events(path)
     elif kind == "diff":
         validate_diff(path)
     elif kind == "fleet":

@@ -255,6 +255,10 @@ Result<Artifact> load_artifact(const std::string& path) {
     if (r.ok()) return r;
     return Error{r.error().code, path + ": " + r.error().message};
   };
+  auto unsupported = [&path](const std::string& kind) -> Result<Artifact> {
+    return Error::invalid_argument(path + ": unsupported artifact kind '" +
+                                   kind + "'");
+  };
 
   if (auto doc = Json::parse(content); doc.ok()) {
     const Json& json = doc.value();
@@ -267,15 +271,7 @@ Result<Artifact> load_artifact(const std::string& path) {
       return annotate(load_query_trace({content}));
     }
     if (kind == "mntp_timeline") return annotate(load_timeline({content}));
-    if (kind == "mntp_trace_events") {
-      return Error::invalid_argument(
-          path + ": trace-event streams are not diffable (diff the run "
-                 "report or query trace of the same run instead)");
-    }
-    if (!kind.empty()) {
-      return Error::invalid_argument(path + ": unsupported artifact kind '" +
-                                     kind + "'");
-    }
+    if (!kind.empty()) return unsupported(kind);
     return Error::malformed(path + ": unrecognized JSON document");
   }
 
@@ -293,11 +289,8 @@ Result<Artifact> load_artifact(const std::string& path) {
   const std::string& kind = first.value()["kind"].as_string();
   if (kind == "mntp_query_trace") return annotate(load_query_trace(lines));
   if (kind == "mntp_timeline") return annotate(load_timeline(lines));
-  if (kind == "mntp_trace_events") {
-    return Error::invalid_argument(
-        path + ": trace-event streams are not diffable (diff the run "
-               "report or query trace of the same run instead)");
-  }
+  // Run reports are the one JSONL kind whose meta carries no `kind`.
+  if (!kind.empty()) return unsupported(kind);
   return annotate(load_report(lines));
 }
 

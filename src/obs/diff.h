@@ -61,10 +61,9 @@
 
 namespace mntp::obs {
 
-/// Artifact kinds the diff engine understands. Streamed trace-event
-/// files (kind mntp_trace_events) are deliberately absent: they are an
-/// unordered transport format, not a summary — diff the run report or
-/// query trace of the same run instead.
+/// Artifact kinds the diff engine understands. Any other meta `kind`
+/// (a fleet report, or a kind this build does not know) is refused as
+/// an unsupported artifact kind.
 enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
 
 /// Stable lowercase name used in JSON output and error messages.

@@ -40,11 +40,6 @@ void Telemetry::event(core::TimePoint t, std::string_view category,
                   .fields = std::move(fields)});
 }
 
-void Telemetry::flush() {
-  std::lock_guard<std::mutex> lock(sink_mutex_);
-  for (TraceSink* sink : sinks_) sink->flush();
-}
-
 void Telemetry::set_enabled(bool enabled) {
   enabled_.store(enabled, std::memory_order_relaxed);
   metrics_.set_enabled(enabled);

@@ -108,8 +108,6 @@ class Telemetry {
   void event(core::TimePoint t, std::string_view category,
              std::string_view name, std::vector<Field> fields = {});
 
-  void flush();
-
   /// Master switch: disables metric recording AND event emission. Metric
   /// handles stay valid; every record degrades to one branch. Used to
   /// quantify instrumentation overhead.
@@ -130,7 +128,7 @@ class Telemetry {
   Profiler profiler_;
   QueryTracer query_tracer_;
   TimeSeriesRecorder timeseries_;
-  std::mutex sink_mutex_;  // serializes emit/flush and sink attach/detach
+  std::mutex sink_mutex_;  // serializes emit and sink attach/detach
   std::vector<TraceSink*> sinks_;
   std::atomic<bool> has_sinks_{false};
   std::atomic<bool> enabled_{true};

@@ -231,6 +231,8 @@ std::vector<const TimeSeries*> TimeSeriesRecorder::series() const {
 
 // --- Timeline JSONL -------------------------------------------------------
 
+namespace {
+
 void append_timeline_meta_json(std::string& out, std::string_view run_name,
                                core::TimePoint sim_end,
                                core::Duration cadence,
@@ -271,6 +273,8 @@ void append_timeline_series_json(std::string& out, const TimeSeries& s) {
   }
   w.end_array().end_object();
 }
+
+}  // namespace
 
 void write_timeline(std::ostream& out, const TimeSeriesRecorder& recorder,
                     std::string_view run_name, core::TimePoint sim_end) {

@@ -227,15 +227,6 @@ class TimeSeriesRecorder {
   std::vector<std::unique_ptr<TimeSeries>> series_;
 };
 
-/// Per-line serializers shared by write_timeline and the chunked
-/// streaming export (obs/streaming.h) — one implementation, so both
-/// writers produce byte-identical lines.
-void append_timeline_meta_json(std::string& out, std::string_view run_name,
-                               core::TimePoint sim_end,
-                               core::Duration cadence,
-                               std::size_t series_count);
-void append_timeline_series_json(std::string& out, const TimeSeries& series);
-
 /// Serialize as timeline JSONL (schema_version 1, kind "mntp_timeline"):
 /// a meta line, then one line per non-empty series with points as
 /// [t_ns, min, mean, max, last, count] arrays. Validated by

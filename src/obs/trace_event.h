@@ -11,14 +11,12 @@
 // event out to every attached sink. Provided sinks:
 //
 //   * RingBufferSink — bounded in-memory capture, oldest-evicted; the
-//     default for tests and for bench run reports;
-//   * JsonlTraceSink — one JSON object per line on an ostream (the run
-//     report interchange format, see obs/report.h for the schema);
+//     default for tests and for bench run reports (obs/report.h writes
+//     its events into the run report);
 //   * NullSink       — discards everything (overhead measurement).
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -56,7 +54,6 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void on_event(const TraceEvent& event) = 0;
-  virtual void flush() {}
 };
 
 /// Bounded in-memory capture; evicts oldest when full.
@@ -86,19 +83,6 @@ class RingBufferSink final : public TraceSink {
  private:
   core::RingBuffer<TraceEvent> events_;
   std::uint64_t total_ = 0;
-};
-
-/// One JSON object per line; the stream must outlive the sink.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream& out) : out_(out) {}
-  void on_event(const TraceEvent& event) override {
-    out_ << to_jsonl_line(event) << '\n';
-  }
-  void flush() override { out_.flush(); }
-
- private:
-  std::ostream& out_;
 };
 
 /// Discards every event; used to measure pure emission overhead.

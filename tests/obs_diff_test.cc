@@ -65,8 +65,7 @@ std::string profile_doc(const std::string& run, double round_dur,
 
 std::string report_doc(double minted, double drift, bool with_extra) {
   std::string doc =
-      "{\"type\":\"meta\",\"kind\":\"mntp_report\",\"schema_version\":1,"
-      "\"run\":\"r\"}\n"
+      "{\"type\":\"meta\",\"schema_version\":1,\"run\":\"r\"}\n"
       "{\"type\":\"metric\",\"kind\":\"counter\",\"name\":"
       "\"mntp.queries.minted\",\"labels\":{},\"value\":" +
       std::to_string(minted) + "}\n"
@@ -369,13 +368,15 @@ TEST(DiffErrors, MixedKindsMalformedAndUnsupported) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.error().message.find("err_c.json"), std::string::npos);
 
-  const std::string trace = write_file(
+  // A JSONL meta with a kind this build does not know is refused, not
+  // read as a run report (whose meta is the one that carries no kind).
+  const std::string foo = write_file(
       "err_d.jsonl",
-      "{\"type\":\"meta\",\"kind\":\"mntp_trace_events\","
-      "\"schema_version\":1}\n");
-  auto undiffable = diff_files(trace, trace, {});
-  ASSERT_FALSE(undiffable.ok());
-  EXPECT_NE(undiffable.error().message.find("not diffable"),
+      "{\"type\":\"meta\",\"kind\":\"mntp_foo\",\"schema_version\":1}\n"
+      "{\"type\":\"event\",\"t_ns\":0}\n");
+  auto unknown = diff_files(foo, foo, {});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.error().message.find("unsupported artifact kind"),
             std::string::npos);
 
   const std::string delta = write_file(

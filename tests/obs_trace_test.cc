@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -123,17 +122,6 @@ TEST(ScopedTelemetry, SwapsAndRestoresGlobal) {
     EXPECT_EQ(&Telemetry::global(), &scoped);
   }
   EXPECT_EQ(&Telemetry::global(), &before);
-}
-
-TEST(JsonlTraceSink, OneLinePerEvent) {
-  std::ostringstream out;
-  JsonlTraceSink sink(out);
-  sink.on_event(make_event(1));
-  sink.on_event(make_event(2));
-  sink.flush();
-  const std::string text = out.str();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-  EXPECT_EQ(text.rfind("{\"type\":\"event\",\"t_ns\":1,", 0), 0u);
 }
 
 TEST(RunReport, MetaCountsMatchBody) {

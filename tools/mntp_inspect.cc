@@ -1,11 +1,15 @@
 // mntp-inspect: terminal summarizer for the observability artifacts the
 // bench harness writes — JSONL run reports (--telemetry-out, schema in
-// src/obs/report.h), Chrome trace-event span profiles (--profile-out)
-// and perf-suite baselines (BENCH_results.json).
+// src/obs/report.h), Chrome trace-event span profiles (--profile-out),
+// perf-suite baselines (BENCH_results.json), query traces
+// (--query-trace-out, kind mntp_query_trace) and timelines
+// (--timeline-out, kind mntp_timeline).
 //
 //   mntp-inspect run.jsonl profile.json BENCH_results.json
 //
-// The file kind is detected from content, not extension. For run reports
+// The file kind is detected from content, not extension: a JSONL meta
+// line with no `kind` is a run report, and a `kind` other than the two
+// above is refused as unrecognized. For run reports
 // the tool prints the metric registry as tables, per-category/per-name
 // event counts, the span-profile aggregates when present, and flags
 // offset anomalies: mntp `round` events whose offset falls more than
@@ -184,9 +188,10 @@ int inspect_report(const std::string& path,
   }
 
   // Metric tables: scalar metrics (counters/gauges) then histograms. The
-  // obs.* family (telemetry metering itself — see src/obs/metric_names.h)
-  // gets its own table so self-overhead reads at a glance instead of
-  // interleaving with the run's real metrics.
+  // obs.* family (telemetry accounting for itself, e.g. the
+  // obs.query_trace.* reconciliation counters — see
+  // src/obs/metric_names.h) gets its own table so it reads at a glance
+  // instead of interleaving with the run's real metrics.
   mntp::core::TextTable scalars({"metric", "labels", "kind", "value"});
   mntp::core::TextTable obs_table({"metric", "kind", "value"});
   mntp::core::TextTable histograms(
@@ -354,10 +359,8 @@ int inspect_query_trace(const std::string& path,
   double sim_end_s = 0.0;
   long long dropped = 0;
   bool sampled = false;       // meta carried a "sampling" block
-  long long sample_n = 1, sample_seed = 0, reservoir = 0;
+  long long sample_n = 1, sample_seed = 0;
   long long minted = 0, kept = 0, sampled_out = 0;
-  bool streamed = false;
-  long long reorder_dropped = 0;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i].empty()) continue;
     auto parsed = Json::parse(lines[i]);
@@ -379,14 +382,11 @@ int inspect_query_trace(const std::string& path,
       run = line["run"].as_string();
       sim_end_s = static_cast<double>(line["sim_end_ns"].as_int()) / 1e9;
       dropped = line["dropped"].as_int();
-      streamed = line["streamed"].as_bool();
-      reorder_dropped = line["reorder_dropped"].as_int();
       if (line.has("sampling")) {
         const Json& s = line["sampling"];
         sampled = true;
         sample_n = s["sample_one_in_n"].as_int();
         sample_seed = s["seed"].as_int();
-        reservoir = s["reservoir"].as_int();
         minted = s["minted"].as_int();
         kept = s["kept"].as_int();
         sampled_out = s["sampled_out"].as_int();
@@ -404,34 +404,22 @@ int inspect_query_trace(const std::string& path,
   std::printf("query trace: %s\n  run=%s  sim_end=%.1fs  %zu queries stored"
               " (%lld dropped)\n",
               path.c_str(), run.c_str(), sim_end_s, queries.size(), dropped);
-  if (streamed || reorder_dropped > 0) {
-    std::printf("  streamed artifact (%lld lost to reorder-window "
-                "force-advance)\n",
-                reorder_dropped);
-  }
   if (sampled) {
-    std::printf("  sampling: 1-in-%lld (seed %lld%s)  minted=%lld kept=%lld "
+    std::printf("  sampling: 1-in-%lld (seed %lld)  minted=%lld kept=%lld "
                 "sampled_out=%lld\n",
-                sample_n, sample_seed,
-                reservoir > 0
-                    ? mntp::core::strformat(", reservoir %lld", reservoir)
-                          .c_str()
-                    : "",
-                minted, kept, sampled_out);
-    // Conservation: every minted id ends exactly one way (reorder drops
-    // are a subset of "kept" that the streaming sink lost at the file
-    // layer). A mismatch means the producer lost track of ids — worth
-    // shouting about, but the stored traces still render fine, so it
-    // stays informational.
+                sample_n, sample_seed, minted, kept, sampled_out);
+    // Conservation: every minted id ends exactly one way. A mismatch
+    // means the producer lost track of ids — worth shouting about, but
+    // the stored traces still render fine, so it stays informational.
     if (minted != kept + sampled_out + dropped) {
       std::printf("  WARNING: accounting mismatch: minted %lld != kept %lld "
                   "+ sampled_out %lld + dropped %lld\n",
                   minted, kept, sampled_out, dropped);
     }
-    if (static_cast<long long>(queries.size()) != kept - reorder_dropped) {
+    if (static_cast<long long>(queries.size()) != kept) {
       std::printf("  WARNING: %zu query lines stored but meta claims %lld "
                   "kept\n",
-                  queries.size(), kept - reorder_dropped);
+                  queries.size(), kept);
     }
   }
 
@@ -818,6 +806,13 @@ int inspect_file(const std::string& path, const Options& opt) {
       }
       if (kind == "mntp_query_trace") {
         return inspect_query_trace(path, lines, opt);
+      }
+      // Run reports are the one JSONL kind whose meta carries no `kind`.
+      if (!kind.empty()) {
+        std::fprintf(stderr,
+                     "mntp-inspect: %s: unrecognized artifact kind '%s'\n",
+                     path.c_str(), kind.c_str());
+        return 1;
       }
       return inspect_report(path, lines, opt);
     }

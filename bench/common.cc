@@ -205,7 +205,9 @@ void check_flags(int argc, char** argv, std::initializer_list<Flag> own,
       error = "unknown argument";
     } else if (flag->value == nullptr) {
       if (inline_value) error = "no value allowed for";
-    } else if (!inline_value && ++i >= argc) {
+    } else if (!inline_value &&
+               (++i >= argc || std::string_view(argv[i]).starts_with("--"))) {
+      // `--a --b`: the next flag is not a's value.
       error = "missing value for";
     } else if (inline_value ? name.size() + 1 == arg.size()
                             : *argv[i] == '\0') {

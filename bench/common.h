@@ -147,9 +147,10 @@ struct Flag {
 /// BenchTelemetry), one of the BenchTelemetry flags, given as
 /// `--flag value`, `--flag=value` or, for a switch, `--flag`. `--help`
 /// prints usage to stdout and exits 0; an unknown argument, a missing or
-/// empty value, or a value given to a switch (`--switch=0`) prints usage
-/// to stderr and exits 2 — a mistyped flag must not silently run the
-/// default.
+/// empty value (a separate value beginning with `--` is the next flag,
+/// so counts as missing), or a value given to a switch (`--switch=0`)
+/// prints usage to stderr and exits 2 — a mistyped flag must not
+/// silently run the default.
 void check_flags(int argc, char** argv, std::initializer_list<Flag> own,
                  bool telemetry = true);
 

@@ -1,10 +1,12 @@
 // Server-side request pipeline: batching, response caching, KoD.
 //
 // Phase B of the fleet simulator (see simulator.h) hands each server the
-// slice's arrivals in canonical order — sorted by (arrival time, client
-// id), which is invariant under shard partitioning and thread count —
-// and this pipeline applies the three server-side mechanisms the
-// tentpole models:
+// slice's arrivals in whatever order the shards gathered them. The
+// pipeline's results are defined by a canonical order — by (arrival
+// time, client id), which is invariant under shard partitioning and
+// thread count — but applied as a ranking rule, never by sorting: each
+// total below is a function of ranks and window counts only. The three
+// server-side mechanisms it models:
 //
 //   * request batching: arrivals within one batch window are one
 //     processing batch (fleet.server.batches counts windows);
@@ -13,11 +15,11 @@
 //     The cached value is a pure function of (server seed, bucket
 //     index) — NOT of which request missed first — so cache behaviour
 //     can never leak scheduling into results;
-//   * kiss-of-death rate limiting: requests beyond the per-slice limit
-//     get a KoD instead of time, and the offending client's poll
-//     interval backs off multiplicatively (capped). A client has exactly
-//     one home server, so the interval write is disjoint across the
-//     concurrently-processed servers.
+//   * kiss-of-death rate limiting: requests beyond the per-slice limit,
+//     in canonical rank, get a KoD instead of time, and the offending
+//     client's poll interval backs off multiplicatively (capped). A
+//     client has exactly one home server, so the interval write is
+//     disjoint across the concurrently-processed servers.
 #pragma once
 
 #include <cstddef>
@@ -58,12 +60,14 @@ class ServerFleet {
   /// cache counters.
   ServerFleet(const FleetParams& params, std::size_t servers);
 
-  /// Process one server's canonically-sorted slice batch. Safe to call
+  /// Process one server's slice arrivals, given in any order: the
+  /// totals, interval writes and OWD records equal a sequential pass
+  /// over the canonically sorted slice. Reorders `arrivals` (a
+  /// selection moves the served ones to the front). Safe to call
   /// concurrently for DISTINCT servers: per-server state is indexed,
   /// client interval writes are disjoint by home server, and the
   /// collector slot is the server index.
-  void process_slice(std::size_t server,
-                     std::span<const ArrivalRecord> arrivals,
+  void process_slice(std::size_t server, std::span<ArrivalRecord> arrivals,
                      const ClientFleet& fleet,
                      std::span<std::uint64_t> interval_ns,
                      OwdCollector& owd);
@@ -79,7 +83,8 @@ class ServerFleet {
  private:
   static constexpr std::uint64_t kNoBucket = ~0ULL;
   /// process_slice prefetches the client columns of the arrival this
-  /// many positions ahead. Arrivals reach a server in time order from
+  /// many positions ahead: for a served arrival its traits + provider
+  /// (OWD record), for a KoD its interval. Arrivals reach a server from
   /// random clients, so each one's client columns are a cache miss.
   /// On the e2e_fleet isolation leg (4-vCPU Xeon VM) distances 4-32
   /// all cut the per-slice pipeline time from ~0.5 ms to ~0.3 ms,
@@ -87,10 +92,14 @@ class ServerFleet {
   static constexpr std::size_t kServerLookahead = 16;
 
   struct State {
+    /// The last cache bucket served and the last batch window seen, in
+    /// canonical order; they carry a bucket or window across slices.
     std::uint64_t cached_bucket = kNoBucket;
-    double cached_err_ms = 0.0;
     std::uint64_t prev_batch = kNoBucket;
     ServerTotals totals;
+    /// process_slice scratch: one bit per batch window, then one per
+    /// cache bucket, that the slice spans (~8 words at default params).
+    std::vector<std::uint64_t> window_bits;
   };
 
   std::uint64_t seed_root_;  // server stream root of the fleet seed

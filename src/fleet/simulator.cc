@@ -229,10 +229,11 @@ FleetResult Simulator::run(std::size_t threads) {
       dropped_counter_->inc(d_count);
     });
 
-    // Phase B: servers. Gather each server's arrivals from every shard,
-    // sort into the canonical (arrival, client) order, run the
-    // batching / cache / KoD pipeline. KoD interval writes are disjoint
-    // by home server.
+    // Phase B: servers. Gather each server's arrivals from every shard
+    // and run the batching / cache / KoD pipeline, which ranks them by
+    // the canonical (arrival, client) rule itself, so gather order —
+    // and with it the shard count — cannot reach the results. KoD
+    // interval writes are disjoint by home server.
     pool.parallel_for(0, servers, [&](std::size_t s) {
       std::vector<ArrivalRecord>& batch = gather[s];
       batch.clear();
@@ -241,12 +242,6 @@ FleetResult Simulator::run(std::size_t threads) {
                      arrivals[sh][s].end());
         arrivals[sh][s].clear();
       }
-      std::sort(batch.begin(), batch.end(),
-                [](const ArrivalRecord& a, const ArrivalRecord& b) {
-                  return a.arrive_ns != b.arrive_ns
-                             ? a.arrive_ns < b.arrive_ns
-                             : a.client < b.client;
-                });
       server_fleet.process_slice(s, batch, fleet, interval, owd);
     });
   }

@@ -11,13 +11,17 @@
 //     shorter than the minimum poll interval, so a client fires at most
 //     once per slice.
 //   Phase B (parallel over servers): each server gathers its arrivals
-//     from every shard, sorts them by (arrival time, client id) — a
-//     canonical order independent of sharding — and runs the
-//     batching / response-cache / KoD pipeline (fleet/server_fleet.h).
+//     from every shard, in shard order, and runs the batching /
+//     response-cache / KoD pipeline (fleet/server_fleet.h) on them. The
+//     pipeline does not sort: it ranks arrivals by (arrival time, client
+//     id) — a canonical order independent of sharding — through a
+//     selection and per-window bitmaps, so its results do not depend on
+//     the gather order.
 //
 // Determinism: every random draw is a pure function of seeds (per-query
 // core::SmallRng streams keyed by (client seed, poll time); per-bucket
-// server streams), aggregation is order-insensitive (integer counters,
+// server streams), the server pipeline's outcomes are functions of
+// canonical rank, aggregation is order-insensitive (integer counters,
 // HdrHistogram merges), and cross-phase writes are disjoint (a client
 // belongs to one shard and one home server). Results are bit-identical
 // for any --threads and any shard count; fleet_determinism_test pins

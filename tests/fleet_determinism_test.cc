@@ -2,11 +2,14 @@
 // results — counters AND merged OWD histograms — for any worker count
 // and any shard count. This is the contract that lets the bench gate
 // compare fleet_qps numbers across machines with different core counts.
+// A golden case pins one small fleet's full result to fixed values.
 //
 // Also the tsan_fleet target: under ThreadSanitizer this exercises the
 // two-phase shard/server fan-out for races.
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "fleet/client_fleet.h"
 #include "fleet/params.h"
 #include "fleet/simulator.h"
+#include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 
@@ -56,8 +60,8 @@ TEST(FleetDeterminism, BitIdenticalAcrossThreadCounts) {
 TEST(FleetDeterminism, BitIdenticalAcrossShardCounts) {
   // Client->shard assignment is id % shards, but per-query randomness is
   // keyed on (client root, id, poll time) — independent of which shard
-  // processed it — and servers re-sort arrivals canonically. So any shard
-  // count must yield the same result.
+  // processed it — and servers rank arrivals by a canonical rule, not by
+  // gather order. So any shard count must yield the same result.
   fleet::FleetParams p = base_params();
   p.shards = 3;
   const fleet::FleetResult reference = run_once(p, 2);
@@ -66,6 +70,63 @@ TEST(FleetDeterminism, BitIdenticalAcrossShardCounts) {
     const fleet::FleetResult other = run_once(p, 2);
     EXPECT_TRUE(reference.deterministic_equal(other))
         << "shards=" << shards;
+  }
+}
+
+// Golden values: a small fleet whose low KoD limit exercises the KoD,
+// cache and batching paths, pinned to the values it produced while
+// Phase B still sorted each server's arrivals before its pipeline. The
+// rank-based pipeline must reproduce them exactly, not merely agree
+// with itself across thread and shard counts. The values hold for
+// libstdc++ and glibc's libm, whose normal draws and pow/log feed them.
+TEST(FleetDeterminism, MatchesSortedPipelineGolden) {
+  fleet::FleetParams p;
+  p.clients = 50'000;
+  p.duration_s = 120.0;
+  p.shards = 16;
+  p.seed = 5;
+  p.kod_limit_per_slice = 40;
+  const fleet::FleetResult r = run_once(p, 2);
+
+  EXPECT_EQ(r.queries, 79'168U);
+  EXPECT_EQ(r.arrived, 78'407U);
+  EXPECT_EQ(r.dropped, 761U);
+  EXPECT_EQ(r.kod, 52'767U);
+  EXPECT_EQ(r.batches, 45'882U);
+  EXPECT_EQ(r.cache_hits, 21'047U);
+  EXPECT_EQ(r.cache_misses, 4'593U);
+  EXPECT_EQ(r.server_requests,
+            (std::vector<std::uint64_t>{3998, 1, 2, 3, 0, 1, 3, 41, 206, 16,
+                                        46340, 6448, 12963, 6102, 127, 166,
+                                        139, 1048, 803}));
+  EXPECT_EQ(r.owd.valid, 23'837U);
+  EXPECT_EQ(r.owd.invalid, 1'803U);
+
+  // Per category (cloud, isp, broadband, mobile): count, the exact
+  // extrema (they carry the per-bucket server error) and quantiles.
+  struct Golden {
+    std::uint64_t count;
+    double min, max, p50, p90, p99;
+  };
+  const Golden golden[] = {
+      {4477, 0x1.805ae8c950d5p-3, 0x1.a1580bda2b9dcp+8, 0x1.9eb851eb851ecp+5,
+       0x1.a8f5c28f5c29p+6, 0x1.8p+7},
+      {8348, 0x1.627983806edcp-6, 0x1.267b2439e48ccp+9, 0x1.028f5c28f5c29p+6,
+       0x1.0cccccccccccdp+7, 0x1.07ae147ae147bp+8},
+      {8295, 0x1.1949b3fd1d036p+0, 0x1.767164536308dp+11,
+       0x1.028f5c28f5c29p+8, 0x1.2147ae147ae15p+9, 0x1.2666666666667p+10},
+      {2717, 0x1.71245eb34d64cp+7, 0x1.76e3c3ffc7cafp+11,
+       0x1.570a3d70a3d71p+9, 0x1.570a3d70a3d71p+10, 0x1.75c28f5c28f5cp+11},
+  };
+  for (std::size_t c = 0; c < 4; ++c) {
+    const obs::HdrHistogram& h = r.owd.by_category[c];
+    SCOPED_TRACE("category " + std::to_string(c));
+    EXPECT_EQ(h.count(), golden[c].count);
+    EXPECT_EQ(h.min(), golden[c].min);
+    EXPECT_EQ(h.max(), golden[c].max);
+    EXPECT_EQ(h.quantile(0.5), golden[c].p50);
+    EXPECT_EQ(h.quantile(0.9), golden[c].p90);
+    EXPECT_EQ(h.quantile(0.99), golden[c].p99);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <random>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,7 +18,9 @@
 #include "fleet/params.h"
 #include "fleet/report.h"
 #include "fleet/simulator.h"
+#include "fleet/server_fleet.h"
 #include "logs/spec.h"
+#include "ntp/server.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 
@@ -103,6 +106,190 @@ TEST(ClientFleet, BuildIsDeterministic) {
   EXPECT_EQ(a.server(), b.server());
   EXPECT_EQ(a.base_owd_ms(), b.base_owd_ms());
   EXPECT_EQ(a.init_next_poll_ns(), b.init_next_poll_ns());
+}
+
+// The server pipeline as a sequential pass over the canonically sorted
+// slice — the definition process_slice must reproduce from any order.
+struct ReferenceServer {
+  static constexpr std::uint64_t kNone = ~0ULL;
+  std::uint64_t cached_bucket = kNone;
+  double cached_err_ms = 0.0;
+  std::uint64_t prev_batch = kNone;
+  fleet::ServerTotals totals;
+  // Slices whose first window / first served bucket continued the
+  // previous slice's last (coverage of the cross-slice cursors).
+  int batch_continued = 0;
+  int bucket_continued = 0;
+};
+
+void reference_slice(ReferenceServer& st, const fleet::FleetParams& p,
+                     std::size_t server,
+                     std::vector<fleet::ArrivalRecord> arrivals,
+                     const fleet::ClientFleet& fleet,
+                     std::vector<std::uint64_t>& interval_ns,
+                     fleet::OwdCollector& owd) {
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const fleet::ArrivalRecord& a, const fleet::ArrivalRecord& b) {
+              return a.arrive_ns != b.arrive_ns ? a.arrive_ns < b.arrive_ns
+                                                : a.client < b.client;
+            });
+  const std::uint64_t server_seed = core::derive_stream_seed(
+      core::derive_stream_seed(p.seed, /*server stream*/ 1), server);
+  const auto batch_window_ns =
+      static_cast<std::uint64_t>(p.batch_window_ms * 1e6);
+  const auto cache_bucket_ns =
+      static_cast<std::uint64_t>(p.cache_bucket_ms * 1e6);
+  const auto cap_ns = static_cast<std::uint64_t>(p.kod_backoff_cap_s * 1e9);
+  std::uint64_t requests = 0;
+  std::uint64_t served = 0;
+  for (const fleet::ArrivalRecord& a : arrivals) {
+    ++requests;
+    ++st.totals.requests;
+    const std::uint64_t batch = a.arrive_ns / batch_window_ns;
+    if (batch != st.prev_batch) {
+      st.prev_batch = batch;
+      ++st.totals.batches;
+    } else if (requests == 1) {
+      ++st.batch_continued;
+    }
+    if (requests > p.kod_limit_per_slice) {
+      ++st.totals.kod;
+      interval_ns[a.client] = ntp::kod_backoff_interval_ns(
+          interval_ns[a.client], p.kod_backoff_factor, cap_ns);
+      continue;
+    }
+    ++served;
+    const std::uint64_t bucket = a.arrive_ns / cache_bucket_ns;
+    if (bucket != st.cached_bucket) {
+      st.cached_bucket = bucket;
+      core::SmallRng rng(core::derive_stream_seed(server_seed, bucket));
+      st.cached_err_ms = rng.normal(0.0, p.server_err_sigma_ms);
+      ++st.totals.cache_misses;
+    } else {
+      ++st.totals.cache_hits;
+      if (served == 1) ++st.bucket_continued;
+    }
+    owd.record(server, fleet.speaker(a.client), fleet.population(a.client),
+               fleet.category(a.client), a.partial_ms + st.cached_err_ms);
+  }
+}
+
+void expect_totals_eq(const fleet::ServerTotals& got,
+                      const fleet::ServerTotals& want) {
+  EXPECT_EQ(got.requests, want.requests);
+  EXPECT_EQ(got.kod, want.kod);
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
+}
+
+// process_slice takes a slice in any order; whatever the order, its
+// totals, KoD interval writes and OWD records must equal the sequential
+// pass over the sorted slice, slice after slice (the batch and cache
+// cursors carry across slices).
+struct SliceCase {
+  std::uint64_t kod_limit;
+  double batch_window_ms;
+  double cache_bucket_ms;
+};
+
+TEST(ServerFleet, ProcessSliceMatchesSortedReference) {
+  obs::Telemetry tel;
+  obs::ScopedTelemetry scope(tel);
+  const fleet::FleetParams base = small_params();
+  const fleet::ClientFleet fleet = fleet::ClientFleet::build(base);
+  constexpr std::size_t kServers = 4;
+  constexpr std::size_t kServer = 3;
+  constexpr std::size_t kPermutations = 4;
+  constexpr std::uint64_t kSpreadNs = 1'100'000'000;
+  // Slice sizes around the limit of 50: empty, under, at, one over,
+  // well over.
+  const std::vector<std::size_t> sizes = {0,  20, 50, 51, 120, 10, 50,
+                                          0,  300, 10, 49, 200, 30, 80};
+  // Default windows (a 2-word batch bitmap); windows longer than the
+  // spread of a slice and 5 ms buckets (a 4-word bucket bitmap, more
+  // buckets per slice than the error memo has slots); a zero limit,
+  // where nothing is served and the cache state must stay untouched,
+  // with buckets long enough that consecutive slices share one.
+  const std::vector<SliceCase> cases = {
+      {50, 10.0, 250.0}, {50, 700.0, 5.0}, {0, 10.0, 10'000.0}};
+
+  for (const SliceCase& c : cases) {
+    SCOPED_TRACE("kod_limit=" + std::to_string(c.kod_limit) +
+                 " batch_window_ms=" + std::to_string(c.batch_window_ms) +
+                 " cache_bucket_ms=" + std::to_string(c.cache_bucket_ms));
+    fleet::FleetParams p = base;
+    p.kod_limit_per_slice = c.kod_limit;
+    p.batch_window_ms = c.batch_window_ms;
+    p.cache_bucket_ms = c.cache_bucket_ms;
+
+    std::vector<std::uint64_t> ref_interval(fleet.init_interval_ns());
+    fleet::OwdCollector ref_owd(kServers, p.owd_valid_min_ms,
+                                p.owd_valid_max_ms);
+    ReferenceServer ref;
+    std::vector<fleet::ServerFleet> fleets;
+    std::vector<std::vector<std::uint64_t>> intervals;
+    std::vector<fleet::OwdCollector> owds;
+    for (std::size_t k = 0; k < kPermutations; ++k) {
+      fleets.emplace_back(p, kServers);
+      intervals.push_back(fleet.init_interval_ns());
+      owds.emplace_back(kServers, p.owd_valid_min_ms, p.owd_valid_max_ms);
+    }
+
+    std::mt19937_64 gen(2024);
+    std::uniform_int_distribution<std::uint64_t> offset(0, kSpreadNs);
+    std::uniform_real_distribution<double> partial(-20.0, 400.0);
+    std::vector<std::uint32_t> ids(fleet.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<std::uint32_t>(i);
+    }
+    std::uint64_t start = 10'000'000'000;
+    std::uint64_t prev_last = start;
+    for (std::size_t t = 0; t < sizes.size(); ++t) {
+      SCOPED_TRACE("slice " + std::to_string(t));
+      // Odd slices start exactly at the previous slice's last arrival,
+      // so its window and bucket straddle the boundary; even ones start
+      // 0.8 s after the previous start, inside the previous slice's
+      // span, and the last one 2 s before it. Half the times sit on a
+      // 1 ms grid so equal times are ranked by client id. A client
+      // arrives at most once per slice.
+      start = t + 1 == sizes.size() ? start - 2'000'000'000
+              : t % 2 == 1          ? prev_last
+                                    : start + 800'000'000;
+      std::shuffle(ids.begin(), ids.end(), gen);
+      std::vector<fleet::ArrivalRecord> slice;
+      for (std::size_t k = 0; k < sizes[t]; ++k) {
+        std::uint64_t at = k == 0 ? start : start + offset(gen);
+        if (k % 2 == 1) at -= at % 1'000'000;
+        slice.push_back({.arrive_ns = at, .client = ids[k],
+                         .partial_ms = partial(gen)});
+        prev_last = k == 0 ? at : std::max(prev_last, at);
+      }
+      reference_slice(ref, p, kServer, slice, fleet, ref_interval, ref_owd);
+      for (std::size_t k = 0; k < kPermutations; ++k) {
+        std::vector<fleet::ArrivalRecord> shuffled = slice;
+        std::mt19937_64 perm(1000 * t + k);
+        std::shuffle(shuffled.begin(), shuffled.end(), perm);
+        fleets[k].process_slice(kServer, shuffled, fleet, intervals[k],
+                                owds[k]);
+        expect_totals_eq(fleets[k].totals(kServer), ref.totals);
+      }
+    }
+    // The cases above did reach the paths under test.
+    EXPECT_GT(ref.batch_continued, 0);
+    if (c.kod_limit > 0) {
+      EXPECT_GT(ref.totals.kod, 0U);
+      EXPECT_GT(ref.bucket_continued, 0);
+    } else {
+      EXPECT_EQ(ref.totals.kod, ref.totals.requests);
+    }
+    for (std::size_t k = 0; k < kPermutations; ++k) {
+      SCOPED_TRACE("permutation " + std::to_string(k));
+      expect_totals_eq(fleets[k].totals(kServer), ref.totals);
+      EXPECT_EQ(intervals[k], ref_interval);
+      EXPECT_EQ(owds[k].merged(), ref_owd.merged());
+    }
+  }
 }
 
 TEST(Simulator, ConservationInvariantsHold) {

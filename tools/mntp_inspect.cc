@@ -771,7 +771,10 @@ int inspect_file(const std::string& path, const Options& opt) {
 
   // Whole-file JSON first (profile / bench results); on failure fall back
   // to JSONL (run report), whose second line makes whole-file parse fail.
-  if (auto doc = Json::parse(content); doc.ok()) {
+  // A JSONL artifact holding only its meta line (a query trace or
+  // timeline with no records) parses whole too, and goes to JSONL.
+  if (auto doc = Json::parse(content);
+      doc.ok() && doc.value()["type"].as_string() != "meta") {
     const Json& json = doc.value();
     if (opt.timeline) {
       std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",

@@ -347,8 +347,8 @@ std::vector<Workload> build_workloads() {
   return workloads;
 }
 
-/// BENCH_results.json schema v1 (validated by
-/// scripts/check_telemetry_schema.py, gated by `mntp-inspect diff`):
+/// BENCH_results.json schema v1 (validated by `mntp-inspect validate`,
+/// gated by `mntp-inspect diff`):
 /// {schema_version, kind:"mntp_perf_suite", reps, warmup,
 ///  environment{compiler, build_type, build_flags, hardware_threads},
 ///  workloads:[{name, unit:"us", median_us, mad_us, p95_us, min_us,

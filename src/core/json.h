@@ -58,6 +58,15 @@ class Json {
   /// Array/object size; 0 otherwise.
   [[nodiscard]] std::size_t size() const;
 
+  /// A string equal to `s` / an integer equal to `v` (the double 1.0 is
+  /// not the integer 1): the comparisons schema checks make.
+  [[nodiscard]] bool operator==(std::string_view s) const {
+    return type_ == Type::kString && *string_ == s;
+  }
+  [[nodiscard]] bool operator==(std::int64_t v) const {
+    return type_ == Type::kInt && int_ == v;
+  }
+
   /// Deepest container nesting parse() accepts; deeper input is an
   /// error rather than unbounded recursion.
   static constexpr std::size_t kMaxDepth = 256;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/json.h"
+
 namespace mntp::core {
 
 std::string json_escape(std::string_view s) {
@@ -52,6 +54,25 @@ void append_json_number(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
+}
+
+JsonWriter& JsonWriter::value(const Json& v) {
+  switch (v.type()) {
+    case Json::Type::kNull: return null();
+    case Json::Type::kBool: return value(v.as_bool());
+    case Json::Type::kInt: return value(v.as_int());
+    case Json::Type::kDouble: return value(v.as_double());
+    case Json::Type::kString: return value(std::string_view(v.as_string()));
+    case Json::Type::kArray:
+      begin_array();
+      for (const Json& item : v.as_array()) value(item);
+      return end_array();
+    case Json::Type::kObject:
+      begin_object();
+      for (const auto& [k, item] : v.as_object()) key(k).value(item);
+      return end_object();
+  }
+  return *this;
 }
 
 JsonWriter& JsonWriter::value_fixed(double v, int decimals) {

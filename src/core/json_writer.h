@@ -27,6 +27,8 @@
 
 namespace mntp::core {
 
+class Json;
+
 /// JSON string escaping (quotes, backslashes, control characters;
 /// non-ASCII passes through as UTF-8).
 [[nodiscard]] std::string json_escape(std::string_view s);
@@ -113,6 +115,8 @@ class JsonWriter {
     out_ += "null";
     return *this;
   }
+  /// A parsed document, re-emitted (object keys in sorted order).
+  JsonWriter& value(const Json& v);
   /// Fixed-decimal number (e.g. microsecond fields rendered "%.3f").
   JsonWriter& value_fixed(double v, int decimals);
   /// Pre-rendered JSON; the caller vouches for its validity.

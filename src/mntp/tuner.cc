@@ -188,7 +188,13 @@ std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space,
     out[i].requests = r.requests;
     scored->inc();
   };
-  if (options.threads <= 1) {
+  // A traced search scores on this thread: each replay emits mntp
+  // round/deferral/reset events and query-tracer rounds, which land in
+  // scheduler order on workers, and only the serial order keeps those
+  // artifacts byte-deterministic. Untraced searches stay parallel.
+  const bool traced =
+      telemetry.tracing() || telemetry.query_tracer().enabled();
+  if (options.threads <= 1 || traced) {
     for (std::size_t i = 0; i < out.size(); ++i) score(i);
   } else {
     core::ThreadPool pool(options.threads);

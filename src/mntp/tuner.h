@@ -129,7 +129,8 @@ struct SearchSpace {
 struct SearchOptions {
   /// Worker threads scoring configurations. <= 1 scores serially on the
   /// calling thread (no pool is created); N > 1 fans the grid out over a
-  /// core::ThreadPool. Output is bit-identical either way.
+  /// core::ThreadPool, unless the telemetry is tracing events or queries,
+  /// which scores serially too. Output is bit-identical either way.
   std::size_t threads = 1;
 };
 
@@ -141,11 +142,12 @@ struct SearchOptions {
 /// Determinism guarantee: emulate() is a pure function of (trace,
 /// params), each worker writes only its own entry's slot, and per-config
 /// trace events are emitted after scoring completes, in enumeration
-/// order, from the calling thread — so the returned entries AND the
-/// "tuner"-category event stream are bit-identical for any `threads`
-/// value. (Engine-internal events emitted by the replays themselves are
-/// mutex-serialized but land in scheduler order when threads > 1;
-/// metric totals stay exact either way.)
+/// order, from the calling thread — so the returned entries are
+/// bit-identical for any `threads` value. The replays' own mntp events
+/// and query-tracer rounds would land in scheduler order on workers, so
+/// a search with event tracing or the query tracer on scores on the
+/// calling thread: every traced artifact is the serial one byte for
+/// byte, and metric totals stay exact either way.
 [[nodiscard]] std::vector<SearchEntry> search(const Trace& trace,
                                               const SearchSpace& space,
                                               const SearchOptions& options);

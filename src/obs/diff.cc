@@ -4,9 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
+#include <iterator>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/format.h"
@@ -21,19 +20,12 @@ namespace {
 using core::Error;
 using core::Json;
 using core::Result;
+using namespace diff_class;
 
-// Class vocabulary (see diff.h).
-constexpr const char* kEqual = "equal";
-constexpr const char* kChanged = "changed";
-constexpr const char* kExact = "exact";
-constexpr const char* kShifted = "shifted";
-constexpr const char* kAdded = "added";
-constexpr const char* kRemoved = "removed";
-
-/// A loaded artifact: the kind plus whichever representation that kind
-/// parses into. Only one of the per-kind members is populated.
-struct Artifact {
-  DiffKind kind = DiffKind::kBench;
+/// What diff reads from one loaded artifact: the per-kind aggregation
+/// its deltas compare. Only the members of the artifact's kind are set.
+struct Aggregate {
+  ArtifactKind kind = ArtifactKind::kBench;
   std::string run;
 
   // bench: workload name -> (median, mad)
@@ -89,209 +81,103 @@ bool is_accounting_counter(const std::string& name) {
   return name.rfind("mntp.", 0) == 0 || name.rfind("obs.", 0) == 0;
 }
 
-// ------------------------------------------------------------- loading
-
-Result<Artifact> load_bench(const Json& doc) {
-  Artifact art;
-  art.kind = DiffKind::kBench;
-  if (!doc["workloads"].is_array()) {
-    return Error::malformed("bench artifact has no workloads array");
-  }
-  art.environment = doc["environment"];
-  for (const Json& w : doc["workloads"].as_array()) {
-    const std::string& name = w["name"].as_string();
-    if (name.empty()) return Error::malformed("bench workload without name");
-    // The gate reads these two numbers; a missing or mistyped one must
-    // not pass as 0 (a "5000" string baseline would gate nothing).
-    double fields[2] = {};
-    const char* keys[2] = {"median_us", "mad_us"};
-    for (int k = 0; k < 2; ++k) {
-      const Json& v = w[keys[k]];
-      fields[k] = v.as_double();
-      if (!v.is_number() || !std::isfinite(fields[k]) || fields[k] < 0.0) {
-        return Error::malformed(core::strformat(
-            "workload '%s': %s must be a finite non-negative number",
-            name.c_str(), keys[k]));
+/// Aggregate a validated artifact (load_artifact has checked every
+/// field read here).
+Aggregate aggregate(const Artifact& art) {
+  Aggregate agg;
+  agg.kind = art.kind;
+  agg.run = art.doc["run"].as_string();
+  switch (art.kind) {
+    case ArtifactKind::kBench:
+      agg.environment = art.doc["environment"];
+      for (const Json& w : art.doc["workloads"].as_array()) {
+        agg.workloads[w["name"].as_string()] = {w["median_us"].as_double(),
+                                                w["mad_us"].as_double()};
       }
-    }
-    art.workloads[name] = {fields[0], fields[1]};
-  }
-  return art;
-}
-
-Result<Artifact> load_profile(const Json& doc) {
-  Artifact art;
-  art.kind = DiffKind::kProfile;
-  if (!doc["traceEvents"].is_array()) {
-    return Error::malformed("profile artifact has no traceEvents array");
-  }
-  for (const Json& e : doc["traceEvents"].as_array()) {
-    const std::string& ph = e["ph"].as_string();
-    if (ph == "M") {
-      if (e["name"].as_string() == "process_name") {
-        art.run = e["args"]["name"].as_string();
+      break;
+    case ArtifactKind::kProfile:
+      for (const Json& e : art.doc["traceEvents"].as_array()) {
+        if (e["ph"] == "M") {
+          if (e["name"] == "process_name") {
+            agg.run = e["args"]["name"].as_string();
+          }
+          continue;
+        }
+        Aggregate::SpanAgg& span = agg.spans[e["name"].as_string()];
+        span.count += 1.0;
+        span.total_us += e["dur"].as_double();
+        span.self_us += e["args"]["self_us"].as_double();
       }
-      continue;
-    }
-    if (ph != "X") continue;
-    Artifact::SpanAgg& agg = art.spans[e["name"].as_string()];
-    agg.count += 1.0;
-    agg.total_us += e["dur"].as_double();
-    agg.self_us += e["args"]["self_us"].as_double();
-  }
-  return art;
-}
-
-Result<Artifact> load_report(const std::vector<std::string>& lines) {
-  Artifact art;
-  art.kind = DiffKind::kReport;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return Error::malformed(core::strformat(
-          "line %zu: %s", i + 1, parsed.error().message.c_str()));
-    }
-    const Json line = parsed.value();
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      art.run = line["run"].as_string();
-    } else if (type == "metric") {
-      const std::string& name = line["name"].as_string();
-      const std::string key = name + labels_suffix(line["labels"]);
-      const std::string& kind = line["kind"].as_string();
-      if (kind == "histogram") {
-        art.histograms[key] = {static_cast<double>(line["count"].as_int()),
-                               line["p50"].as_double(),
-                               line["p90"].as_double(),
-                               line["p99"].as_double()};
-      } else {
-        art.scalars[key] = {line["value"].as_double(),
-                            kind == "counter" && is_accounting_counter(name)};
+      break;
+    case ArtifactKind::kReport:
+      for (const Json& line : art.body) {
+        if (line["type"] == "event") {
+          agg.event_counts[line["category"].as_string() + "/" +
+                           line["name"].as_string()] += 1.0;
+          continue;
+        }
+        const std::string& name = line["name"].as_string();
+        const std::string key = name + labels_suffix(line["labels"]);
+        if (line["kind"] == "histogram") {
+          agg.histograms[key] = {static_cast<double>(line["count"].as_int()),
+                                 line["p50"].as_double(),
+                                 line["p90"].as_double(),
+                                 line["p99"].as_double()};
+        } else {
+          agg.scalars[key] = {line["value"].as_double(),
+                              line["kind"] == "counter" &&
+                                  is_accounting_counter(name)};
+        }
       }
-    } else if (type == "event") {
-      art.event_counts[line["category"].as_string() + "/" +
-                       line["name"].as_string()] += 1.0;
-    }
-  }
-  return art;
-}
-
-Result<Artifact> load_query_trace(const std::vector<std::string>& lines) {
-  Artifact art;
-  art.kind = DiffKind::kQueryTrace;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return Error::malformed(core::strformat(
-          "line %zu: %s", i + 1, parsed.error().message.c_str()));
-    }
-    const Json line = parsed.value();
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      art.run = line["run"].as_string();
-      continue;
-    }
-    if (type != "query") continue;
-    // The verdict is the last stage named "verdict" (the tracer
-    // guarantees at most one, and last); queries that never finished
-    // bucket as "unfinished" exactly like the inspector's table.
-    std::string reason = "unfinished";
-    const auto& stages = line["stages"].as_array();
-    for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
-      if ((*it)["stage"].as_string() == "verdict") {
-        reason = (*it)["reason"].as_string();
-        break;
+      break;
+    case ArtifactKind::kQueryTrace:
+      for (const Json& query : art.body) {
+        // The verdict stage is last when present (validated); queries
+        // that never finished bucket as "unfinished" exactly like the
+        // inspector's table.
+        const Json& stages = query["stages"];
+        const Json& last = stages.at(stages.size() - 1);  // null if empty
+        const std::string reason = last["stage"] == "verdict"
+                                       ? last["reason"].as_string()
+                                       : std::string("unfinished");
+        agg.verdicts[query["kind"].as_string() + "/" + reason] += 1.0;
+        agg.query_total += 1.0;
       }
-    }
-    art.verdicts[line["kind"].as_string() + "/" + reason] += 1.0;
-    art.query_total += 1.0;
+      break;
+    case ArtifactKind::kTimeline:
+      for (const Json& line : art.body) {
+        std::vector<double> means;
+        for (const Json& p : line["points"].as_array()) {
+          // [t_ns, min, mean, max, last, count]
+          means.push_back(p.at(2).as_double());
+        }
+        agg.series[line["name"].as_string() + labels_suffix(line["labels"])] =
+            std::move(means);
+      }
+      break;
+    case ArtifactKind::kDiff:
+    case ArtifactKind::kFleet:
+      break;  // refused by load_diffable
   }
-  return art;
+  return agg;
 }
 
-Result<Artifact> load_timeline(const std::vector<std::string>& lines) {
-  Artifact art;
-  art.kind = DiffKind::kTimeline;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return Error::malformed(core::strformat(
-          "line %zu: %s", i + 1, parsed.error().message.c_str()));
-    }
-    const Json line = parsed.value();
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      art.run = line["run"].as_string();
-      continue;
-    }
-    if (type != "series") continue;
-    std::vector<double> means;
-    for (const Json& p : line["points"].as_array()) {
-      means.push_back(p.at(2).as_double());  // [t_ns,min,mean,max,last,count]
-    }
-    art.series[line["name"].as_string() + labels_suffix(line["labels"])] =
-        std::move(means);
+/// load_artifact plus diff's own refusals: a schema this build does not
+/// know, and the kinds it cannot compare.
+Result<Aggregate> load_diffable(const std::string& path) {
+  auto art = load_artifact(path);
+  if (!art.ok()) return art.error();
+  if (art.value().newer_schema_version != 0) {
+    return Error::invalid_argument(core::strformat(
+        "%s: unsupported schema_version %lld", path.c_str(),
+        static_cast<long long>(art.value().newer_schema_version)));
   }
-  return art;
-}
-
-/// Read a file and classify + parse it, mirroring the kind auto-detect
-/// of mntp-inspect / check_telemetry_schema.py: whole-file JSON first
-/// (profile / bench / zero-body JSONL metas), then JSONL by meta kind.
-Result<Artifact> load_artifact(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error::io("cannot read " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.find_first_not_of(" \t\r\n") == std::string::npos) {
-    return Error::malformed(path + ": empty artifact file");
-  }
-
-  auto annotate = [&path](Result<Artifact> r) -> Result<Artifact> {
-    if (r.ok()) return r;
-    return Error{r.error().code, path + ": " + r.error().message};
-  };
-  auto unsupported = [&path](const std::string& kind) -> Result<Artifact> {
+  if (std::find(std::begin(kDiffableKinds), std::end(kDiffableKinds),
+                art.value().kind) == std::end(kDiffableKinds)) {
     return Error::invalid_argument(path + ": unsupported artifact kind '" +
-                                   kind + "'");
-  };
-
-  if (auto doc = Json::parse(content); doc.ok()) {
-    const Json& json = doc.value();
-    if (json.has("traceEvents")) return annotate(load_profile(json));
-    const std::string& kind = json["kind"].as_string();
-    if (kind == "mntp_perf_suite") return annotate(load_bench(json));
-    // Zero-body JSONL artifacts are a single meta line, i.e. valid
-    // whole-file JSON; route them through the line-oriented loaders.
-    if (kind == "mntp_query_trace") {
-      return annotate(load_query_trace({content}));
-    }
-    if (kind == "mntp_timeline") return annotate(load_timeline({content}));
-    if (!kind.empty()) return unsupported(kind);
-    return Error::malformed(path + ": unrecognized JSON document");
+                                   artifact_kind_name(art.value().kind) + "'");
   }
-
-  std::vector<std::string> lines;
-  std::string line;
-  std::istringstream stream(content);
-  while (std::getline(stream, line)) lines.push_back(line);
-  if (lines.empty()) return Error::malformed(path + ": empty artifact");
-  auto first = Json::parse(lines.front());
-  if (!first.ok() || first.value()["type"].as_string() != "meta") {
-    return Error::malformed(
-        path + ": not a bench, profile, report, query-trace or timeline "
-               "artifact");
-  }
-  const std::string& kind = first.value()["kind"].as_string();
-  if (kind == "mntp_query_trace") return annotate(load_query_trace(lines));
-  if (kind == "mntp_timeline") return annotate(load_timeline(lines));
-  // Run reports are the one JSONL kind whose meta carries no `kind`.
-  if (!kind.empty()) return unsupported(kind);
-  return annotate(load_report(lines));
+  return aggregate(art.value());
 }
 
 // ------------------------------------------------------------- diffing
@@ -330,7 +216,7 @@ double bench_allowance(double base_median, double base_mad,
 /// A budget passes iff a_median <= b_median * (1 + pct / 100), both
 /// from the candidate. before/after are B's and A's medians; score is
 /// the overhead in budget units (>1 trips).
-DiffEntry check_budget(const Artifact& cand, const DiffBudget& budget) {
+DiffEntry check_budget(const Aggregate& cand, const DiffBudget& budget) {
   DiffEntry e;
   e.name = budget.spec;
   const auto a = cand.workloads.find(budget.a);
@@ -354,10 +240,10 @@ DiffEntry check_budget(const Artifact& cand, const DiffBudget& budget) {
   return e;
 }
 
-DiffResult diff_bench(const Artifact& a, const Artifact& b,
+DiffResult diff_bench(const Aggregate& a, const Aggregate& b,
                       const DiffOptions& opt) {
   DiffResult result;
-  result.kind = DiffKind::kBench;
+  result.kind = ArtifactKind::kBench;
   DiffSection section{"workloads", {}};
   for (const auto& [name, base] : a.workloads) {
     DiffEntry e;
@@ -422,10 +308,10 @@ DiffResult diff_bench(const Artifact& a, const Artifact& b,
   return result;
 }
 
-DiffResult diff_profile(const Artifact& a, const Artifact& b,
+DiffResult diff_profile(const Aggregate& a, const Aggregate& b,
                         const DiffOptions& opt) {
   DiffResult result;
-  result.kind = DiffKind::kProfile;
+  result.kind = ArtifactKind::kProfile;
   DiffSection section{"spans", {}};
   // Contribution denominator: total self-time movement across every
   // span present on both sides (self sums to wall, so self deltas are
@@ -532,10 +418,10 @@ DiffSection diff_named_values(const std::string& title,
   return section;
 }
 
-DiffResult diff_report(const Artifact& a, const Artifact& b,
+DiffResult diff_report(const Aggregate& a, const Aggregate& b,
                        const DiffOptions& opt) {
   DiffResult result;
-  result.kind = DiffKind::kReport;
+  result.kind = ArtifactKind::kReport;
 
   // Scalars: accounting counters reconcile exactly (class exact /
   // shifted); everything else uses the relative tolerance.
@@ -617,10 +503,10 @@ DiffResult diff_report(const Artifact& a, const Artifact& b,
   return result;
 }
 
-DiffResult diff_query_trace(const Artifact& a, const Artifact& b,
+DiffResult diff_query_trace(const Aggregate& a, const Aggregate& b,
                             const DiffOptions& opt) {
   DiffResult result;
-  result.kind = DiffKind::kQueryTrace;
+  result.kind = ArtifactKind::kQueryTrace;
   DiffSection section{"verdicts", {}};
   const double na = a.query_total, nb = b.query_total;
   std::map<std::string, std::pair<double, double>> buckets;
@@ -664,10 +550,10 @@ DiffResult diff_query_trace(const Artifact& a, const Artifact& b,
   return result;
 }
 
-DiffResult diff_timeline(const Artifact& a, const Artifact& b,
+DiffResult diff_timeline(const Aggregate& a, const Aggregate& b,
                          const DiffOptions& opt) {
   DiffResult result;
-  result.kind = DiffKind::kTimeline;
+  result.kind = ArtifactKind::kTimeline;
   DiffSection section{"series", {}};
   for (const auto& [name, base] : a.series) {
     DiffEntry e;
@@ -750,17 +636,6 @@ std::string fmt_opt(bool present, double v) {
 
 }  // namespace
 
-const char* diff_kind_name(DiffKind kind) {
-  switch (kind) {
-    case DiffKind::kBench: return "bench";
-    case DiffKind::kProfile: return "profile";
-    case DiffKind::kReport: return "report";
-    case DiffKind::kQueryTrace: return "query-trace";
-    case DiffKind::kTimeline: return "timeline";
-  }
-  return "unknown";
-}
-
 core::Result<DiffBudget> parse_budget(const std::string& spec) {
   const auto c1 = spec.find(':');
   const auto c2 = spec.rfind(':');
@@ -779,38 +654,41 @@ core::Result<DiffBudget> parse_budget(const std::string& spec) {
 core::Result<DiffResult> diff_files(const std::string& a_path,
                                     const std::string& b_path,
                                     const DiffOptions& options) {
-  auto a = load_artifact(a_path);
+  auto a = load_diffable(a_path);
   if (!a.ok()) return a.error();
-  auto b = load_artifact(b_path);
+  auto b = load_diffable(b_path);
   if (!b.ok()) return b.error();
   if (a.value().kind != b.value().kind) {
     return Error::invalid_argument(core::strformat(
         "artifact kinds differ: %s is %s, %s is %s", a_path.c_str(),
-        diff_kind_name(a.value().kind), b_path.c_str(),
-        diff_kind_name(b.value().kind)));
+        artifact_kind_name(a.value().kind), b_path.c_str(),
+        artifact_kind_name(b.value().kind)));
   }
-  if (!options.budgets.empty() && a.value().kind != DiffKind::kBench) {
+  if (!options.budgets.empty() && a.value().kind != ArtifactKind::kBench) {
     return Error::invalid_argument(core::strformat(
         "--budget applies to bench artifacts, not %s",
-        diff_kind_name(a.value().kind)));
+        artifact_kind_name(a.value().kind)));
   }
   DiffResult result;
   switch (a.value().kind) {
-    case DiffKind::kBench:
+    case ArtifactKind::kBench:
       result = diff_bench(a.value(), b.value(), options);
       break;
-    case DiffKind::kProfile:
+    case ArtifactKind::kProfile:
       result = diff_profile(a.value(), b.value(), options);
       break;
-    case DiffKind::kReport:
+    case ArtifactKind::kReport:
       result = diff_report(a.value(), b.value(), options);
       break;
-    case DiffKind::kQueryTrace:
+    case ArtifactKind::kQueryTrace:
       result = diff_query_trace(a.value(), b.value(), options);
       break;
-    case DiffKind::kTimeline:
+    case ArtifactKind::kTimeline:
       result = diff_timeline(a.value(), b.value(), options);
       break;
+    case ArtifactKind::kDiff:
+    case ArtifactKind::kFleet:
+      break;  // refused by load_diffable
   }
   result.a_path = a_path;
   result.b_path = b_path;
@@ -822,7 +700,7 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
 std::string render_diff_text(const DiffResult& result,
                              const DiffOptions& options) {
   std::string out = core::strformat(
-      "diff (%s): %s -> %s\n", diff_kind_name(result.kind),
+      "diff (%s): %s -> %s\n", artifact_kind_name(result.kind),
       result.a_path.c_str(), result.b_path.c_str());
   if (!result.a_run.empty() || !result.b_run.empty()) {
     out += core::strformat("  runs: %s -> %s\n", result.a_run.c_str(),
@@ -861,7 +739,7 @@ std::string render_diff_json(const DiffResult& result,
   w.begin_object()
       .kv("schema_version", 1)
       .kv("kind", "mntp_diff")
-      .kv("artifact_kind", diff_kind_name(result.kind));
+      .kv("artifact_kind", artifact_kind_name(result.kind));
   w.key("a").begin_object().kv("path", result.a_path)
       .kv("run", result.a_run).end_object();
   w.key("b").begin_object().kv("path", result.b_path)

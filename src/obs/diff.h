@@ -8,9 +8,9 @@
 // the question is never "what did this run do" but "what moved between
 // these two runs, and which span / counter / reason / series moved it".
 //
-// diff_files() loads two artifacts of the same kind (kind auto-detected
-// from content, exactly like tools/mntp_inspect and
-// check_telemetry_schema.py) and computes statistically-aware deltas:
+// diff_files() loads two artifacts of the same kind through
+// load_artifact (obs/artifact.h: kind detected from content, every line
+// validated) and computes statistically-aware deltas:
 //
 //   * bench       — the repo's perf regression gate (CI runs it
 //                   against BENCH_baseline.json): per workload,
@@ -50,7 +50,8 @@
 // drift detectors, so every significant divergence counts as a
 // regression for the exit-code contract. The CLI maps the result to
 // exit 0 (identical within tolerance), 1 (significant regression) and
-// 2 (error: unreadable, malformed, or mixed artifact kinds).
+// 2 (error: unreadable, schema-invalid, or mixed artifact kinds).
+// Diff records and fleet reports are refused as unsupported kinds.
 #pragma once
 
 #include <cstddef>
@@ -58,16 +59,27 @@
 #include <vector>
 
 #include "core/result.h"
+#include "obs/artifact.h"
 
 namespace mntp::obs {
 
-/// Artifact kinds the diff engine understands. Any other meta `kind`
-/// (a fleet report, or a kind this build does not know) is refused as
-/// an unsupported artifact kind.
-enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
+/// The closed delta-class vocabulary (see DiffEntry); diff records are
+/// validated against kAll.
+namespace diff_class {
+inline constexpr const char* kEqual = "equal";
+inline constexpr const char* kChanged = "changed";
+inline constexpr const char* kExact = "exact";
+inline constexpr const char* kShifted = "shifted";
+inline constexpr const char* kAdded = "added";
+inline constexpr const char* kRemoved = "removed";
+inline constexpr const char* kAll[] = {kEqual, kChanged, kExact,
+                                       kShifted, kAdded, kRemoved};
+}  // namespace diff_class
 
-/// Stable lowercase name used in JSON output and error messages.
-[[nodiscard]] const char* diff_kind_name(DiffKind kind);
+/// The kinds diff_files compares.
+inline constexpr ArtifactKind kDiffableKinds[] = {
+    ArtifactKind::kBench, ArtifactKind::kProfile, ArtifactKind::kReport,
+    ArtifactKind::kQueryTrace, ArtifactKind::kTimeline};
 
 /// `--budget A:B:PCT`: workload A's median may exceed workload B's by at
 /// most PCT percent, both read from the candidate, so machine speed
@@ -129,7 +141,7 @@ struct DiffSection {
 };
 
 struct DiffResult {
-  DiffKind kind = DiffKind::kBench;
+  ArtifactKind kind = ArtifactKind::kBench;
   std::string a_path, b_path;
   std::string a_run, b_run;        // run names when the artifact has one
   std::size_t significant = 0;     // entries flagged significant
@@ -142,11 +154,10 @@ struct DiffResult {
   [[nodiscard]] int exit_code() const { return regressions > 0 ? 1 : 0; }
 };
 
-/// Load, kind-detect and diff two artifact files. Errors (unreadable
-/// file, malformed artifact — a bench median_us/mad_us must be a
-/// finite non-negative number — unsupported or mismatched kinds,
-/// budgets on a non-bench pair) come back as core::Result errors; the
-/// CLI maps them to exit 2.
+/// Load (obs/artifact.h) and diff two artifact files. Errors (a file
+/// load_artifact refuses, a newer schema_version, unsupported or
+/// mismatched kinds, budgets on a non-bench pair) come back as
+/// core::Result errors; the CLI maps them to exit 2.
 [[nodiscard]] core::Result<DiffResult> diff_files(const std::string& a_path,
                                                   const std::string& b_path,
                                                   const DiffOptions& options);
@@ -157,9 +168,8 @@ struct DiffResult {
                                            const DiffOptions& options);
 
 /// Machine rendering: single JSON document, kind "mntp_diff",
-/// schema_version 1, validated by check_telemetry_schema.py --kind
-/// diff. Carries every entry (no top cap) so downstream triage never
-/// loses attribution.
+/// schema_version 1, checked by `mntp-inspect validate`. Carries every
+/// entry (no top cap) so downstream triage never loses attribution.
 [[nodiscard]] std::string render_diff_json(const DiffResult& result,
                                            const DiffOptions& options);
 

@@ -23,8 +23,8 @@
 // `kOk` marks successful non-terminal stages (request sent, reply
 // parsed, ...); `kNone` marks purely informational stages (hop records,
 // airtime detail). String forms are the wire format in the JSONL
-// export — scripts/check_telemetry_schema.py validates against the
-// exact list, so additions must update kAllReasons and the checker.
+// export; the artifact loader (obs/artifact.h) validates query traces
+// against kAllReasons, so a new code must be added there.
 #pragma once
 
 #include <cstdint>

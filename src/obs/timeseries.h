@@ -230,7 +230,7 @@ class TimeSeriesRecorder {
 /// Serialize as timeline JSONL (schema_version 1, kind "mntp_timeline"):
 /// a meta line, then one line per non-empty series with points as
 /// [t_ns, min, mean, max, last, count] arrays. Validated by
-/// scripts/check_telemetry_schema.py --kind timeline; rendered by
+/// `mntp-inspect validate` (obs/artifact.h); rendered by
 /// `mntp-inspect timeline`.
 void write_timeline(std::ostream& out, const TimeSeriesRecorder& recorder,
                     std::string_view run_name, core::TimePoint sim_end);

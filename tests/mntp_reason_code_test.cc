@@ -1,6 +1,6 @@
 // Reason-code taxonomy tests plus golden decision-stage emission: the
 // exact stage name, reason, and payload each decision point publishes is
-// a contract consumed by scripts/check_telemetry_schema.py and
+// a contract consumed by the artifact loader (obs/artifact.h) and
 // `mntp-inspect explain` — drift must fail here, not in a dashboard.
 #include "obs/reason_codes.h"
 

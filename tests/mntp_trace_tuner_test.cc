@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "core/rng.h"
 #include "mntp/trace.h"
@@ -178,6 +180,31 @@ TEST(Searcher, ParallelOutputBitIdenticalToSerial) {
           << "entry " << i << ", " << threads << " threads";
     }
   }
+
+  // Traced: the replays' engine events and query-tracer rounds are the
+  // serial ones byte for byte, whatever --threads asks for.
+  const Trace short_trace = make_noisy_trace(720);
+  const auto traced = [&](std::size_t threads) {
+    obs::Telemetry tel;
+    obs::RingBufferSink ring(1 << 18);
+    tel.add_sink(&ring);
+    tel.query_tracer().set_enabled(true);
+    obs::ScopedTelemetry scope(tel);
+    (void)tuner::search(short_trace, space, {.threads = threads});
+    std::string events;
+    for (std::size_t i = 0; i < ring.events().size(); ++i) {
+      events += obs::to_jsonl_line(ring.events()[i]) + "\n";
+    }
+    EXPECT_EQ(ring.evicted(), 0u);
+    return std::make_pair(
+        events, tel.query_tracer().to_jsonl("tuner", TimePoint::epoch()));
+  };
+  const auto [serial_events, serial_queries] = traced(1);
+  const auto [parallel_events, parallel_queries] = traced(4);
+  EXPECT_NE(serial_events.find("\"category\":\"mntp\""), std::string::npos);
+  EXPECT_NE(serial_queries.find("\"type\":\"query\""), std::string::npos);
+  EXPECT_EQ(serial_events, parallel_events);
+  EXPECT_EQ(serial_queries, parallel_queries);
 }
 
 TEST(Searcher, ParallelTunerEventStreamIdenticalToSerial) {

@@ -2,9 +2,9 @@
 // the bench gate math and its within-candidate budgets, profile span
 // attribution, accounting reconciliation classes, query-trace share
 // shifts, timeline divergence scoring, the load/kind-mismatch error
-// paths, and a seeded fuzz-style pass over mutated copies of the
-// committed fixtures. Generated inputs are written to gtest's temp dir
-// so the suite runs from any CWD.
+// paths, and a seeded fuzz-style pass over mutated copies of one
+// committed artifact of each kind. Generated inputs are written to
+// gtest's temp dir so the suite runs from any CWD.
 #include "obs/diff.h"
 
 #include <gtest/gtest.h>
@@ -31,66 +31,80 @@ std::string write_file(const std::string& name, const std::string& content) {
   return path;
 }
 
+/// A complete perf-suite document: 3 reps whose samples all equal the
+/// median, under the given build_type.
 std::string bench_doc(double engine_median, double engine_mad,
-                      bool with_tuner = true) {
+                      bool with_tuner = true,
+                      const std::string& build_type = "Release") {
+  const auto workload = [](const std::string& name, double median,
+                           double mad) {
+    const std::string m = std::to_string(median);
+    return "{\"name\":\"" + name + "\",\"unit\":\"us\",\"median_us\":" + m +
+           ",\"mad_us\":" + std::to_string(mad) + ",\"p95_us\":" + m +
+           ",\"min_us\":" + m + ",\"max_us\":" + m + ",\"mean_us\":" + m +
+           ",\"samples_us\":[" + m + "," + m + "," + m + "]}";
+  };
   std::string doc =
       "{\"schema_version\":1,\"kind\":\"mntp_perf_suite\",\"reps\":3,"
-      "\"workloads\":[{\"name\":\"engine_round\",\"median_us\":" +
-      std::to_string(engine_median) +
-      ",\"mad_us\":" + std::to_string(engine_mad) + "}";
-  if (with_tuner) {
-    doc += ",{\"name\":\"tuner_grid_slice\",\"median_us\":200.0,"
-           "\"mad_us\":5.0}";
-  }
+      "\"warmup\":0,\"environment\":{\"compiler\":\"gcc\",\"build_type\":\"" +
+      build_type +
+      "\",\"build_flags\":\"\",\"hardware_threads\":4},\"workloads\":[" +
+      workload("engine_round", engine_median, engine_mad);
+  if (with_tuner) doc += "," + workload("tuner_grid_slice", 200.0, 5.0);
   return doc + "]}";
 }
 
 std::string profile_doc(const std::string& run, double round_dur,
                         double round_self) {
+  const auto span = [](const std::string& name, int ts, double dur,
+                       double self, int depth) {
+    return ",{\"ph\":\"X\",\"name\":\"" + name +
+           "\",\"cat\":\"profile\",\"pid\":1,\"tid\":0,\"ts\":" +
+           std::to_string(ts) + ",\"dur\":" + std::to_string(dur) +
+           ",\"args\":{\"self_us\":" + std::to_string(self) +
+           ",\"depth\":" + std::to_string(depth) + "}}";
+  };
   std::string doc =
       "{\"traceEvents\":[{\"ph\":\"M\",\"name\":\"process_name\","
       "\"args\":{\"name\":\"" + run + "\"}}";
   for (int i = 0; i < 4; ++i) {
-    doc += ",{\"ph\":\"X\",\"name\":\"mntp.engine.round\",\"ts\":" +
-           std::to_string(i * 1000) + ",\"dur\":" + std::to_string(round_dur) +
-           ",\"args\":{\"self_us\":" + std::to_string(round_self) + "}}";
-    doc += ",{\"ph\":\"X\",\"name\":\"ntp.query_engine.exchange\",\"ts\":" +
-           std::to_string(i * 1000 + 10) +
-           ",\"dur\":20,\"args\":{\"self_us\":20}}";
+    doc += span("mntp.engine.round", i * 1000, round_dur, round_self, 1);
+    doc += span("ntp.query_engine.exchange", i * 1000 + 10, 20, 20, 2);
   }
-  doc += ",{\"ph\":\"X\",\"name\":\"sim.run\",\"ts\":0,\"dur\":5000,"
-         "\"args\":{\"self_us\":100}}]}";
-  return doc;
+  return doc + span("sim.run", 0, 5000, 100, 0) + "]}";
 }
 
 std::string report_doc(double minted, double drift, bool with_extra) {
   std::string doc =
-      "{\"type\":\"meta\",\"schema_version\":1,\"run\":\"r\"}\n"
+      "{\"type\":\"meta\",\"schema_version\":1,\"run\":\"r\","
+      "\"sim_end_ns\":0,\"metric_count\":" +
+      std::string(with_extra ? "3" : "2") +
+      ",\"event_count\":0}\n"
       "{\"type\":\"metric\",\"kind\":\"counter\",\"name\":"
       "\"mntp.queries.minted\",\"labels\":{},\"value\":" +
-      std::to_string(minted) + "}\n"
-      "{\"type\":\"metric\",\"kind\":\"gauge\",\"name\":\"sim.drift_ppm\","
-      "\"labels\":{\"node\":\"a\"},\"value\":" + std::to_string(drift) + "}\n";
+      std::to_string(minted) + "}\n";
   if (with_extra) {
     doc += "{\"type\":\"metric\",\"kind\":\"counter\",\"name\":"
            "\"net.packets\",\"labels\":{},\"value\":10}\n";
   }
-  return doc;
+  return doc +
+         "{\"type\":\"metric\",\"kind\":\"gauge\",\"name\":\"sim.drift_ppm\","
+         "\"labels\":{\"node\":\"a\"},\"value\":" +
+         std::to_string(drift) + "}\n";
 }
 
 std::string query_trace_doc(int accepted, int rejected) {
   std::string doc =
       "{\"type\":\"meta\",\"kind\":\"mntp_query_trace\",\"schema_version\":1,"
-      "\"run\":\"q\"}\n";
-  for (int i = 0; i < accepted; ++i) {
-    doc += "{\"type\":\"query\",\"id\":" + std::to_string(i) +
-           ",\"kind\":\"ntp\",\"stages\":[{\"stage\":\"verdict\","
-           "\"reason\":\"accepted\"}]}\n";
-  }
-  for (int i = 0; i < rejected; ++i) {
-    doc += "{\"type\":\"query\",\"id\":" + std::to_string(accepted + i) +
-           ",\"kind\":\"ntp\",\"stages\":[{\"stage\":\"verdict\","
-           "\"reason\":\"popcorn\"}]}\n";
+      "\"run\":\"q\",\"sim_end_ns\":0,\"query_count\":" +
+      std::to_string(accepted + rejected) +
+      ",\"dropped\":0,\"dropped_stages\":0}\n";
+  for (int i = 0; i < accepted + rejected; ++i) {
+    doc += "{\"type\":\"query\",\"id\":" + std::to_string(i + 1) +
+           ",\"parent\":0,\"kind\":\"ntp\",\"start_ns\":0,\"stages\":["
+           "{\"t_ns\":0,\"stage\":\"verdict\",\"reason\":\"" +
+           (i < accepted ? "accepted_regular" : "popcorn_suppressed") +
+           "\",\"fields\":{}}]}\n";
   }
   return doc;
 }
@@ -98,9 +112,10 @@ std::string query_trace_doc(int accepted, int rejected) {
 std::string timeline_doc(double offset) {
   std::string doc =
       "{\"type\":\"meta\",\"kind\":\"mntp_timeline\",\"schema_version\":1,"
-      "\"run\":\"t\"}\n"
-      "{\"type\":\"series\",\"name\":\"mntp.offset_us\",\"labels\":{},"
-      "\"points\":[";
+      "\"run\":\"t\",\"sim_end_ns\":1600,\"cadence_ns\":100,"
+      "\"series_count\":1}\n"
+      "{\"type\":\"series\",\"name\":\"mntp.offset_us\",\"probe\":\"gauge\","
+      "\"labels\":{},\"samples\":64,\"stride\":1,\"points\":[";
   for (int i = 0; i < 16; ++i) {
     const double mean = (i % 2 == 0 ? 1.0 : -1.0) + offset;
     if (i > 0) doc += ",";
@@ -124,7 +139,7 @@ TEST(DiffBench, SelfDiffIsCleanAndExitsZero) {
   const std::string p = write_file("bench_a.json", bench_doc(1000.0, 10.0));
   auto r = diff_files(p, p, {});
   ASSERT_TRUE(r.ok()) << r.error().message;
-  EXPECT_EQ(r.value().kind, DiffKind::kBench);
+  EXPECT_EQ(r.value().kind, ArtifactKind::kBench);
   EXPECT_EQ(r.value().significant, 0u);
   EXPECT_EQ(r.value().regressions, 0u);
   EXPECT_EQ(r.value().exit_code(), 0);
@@ -242,9 +257,8 @@ TEST(DiffBench, BudgetLimitMissingWorkloadsAndSpecs) {
 
 TEST(DiffBench, EnvironmentMismatchWarns) {
   const std::string plain = write_file("env_a.json", bench_doc(1000.0, 10.0));
-  const std::string debug = write_file(
-      "env_b.json", "{\"environment\":{\"build_type\":\"Debug\"}," +
-                        bench_doc(1000.0, 10.0).substr(1));
+  const std::string debug =
+      write_file("env_b.json", bench_doc(1000.0, 10.0, true, "Debug"));
   EXPECT_TRUE(diff_files(plain, plain, {}).value().warnings.empty());
   auto r = diff_files(plain, debug, {});
   ASSERT_TRUE(r.ok());
@@ -260,7 +274,7 @@ TEST(DiffProfile, PerturbedSpanIsTopContributor) {
       write_file("prof_b.json", profile_doc("pert", 400.0, 380.0));
   auto r = diff_files(base, pert, {});
   ASSERT_TRUE(r.ok()) << r.error().message;
-  EXPECT_EQ(r.value().kind, DiffKind::kProfile);
+  EXPECT_EQ(r.value().kind, ArtifactKind::kProfile);
   EXPECT_EQ(r.value().a_run, "base");
   EXPECT_EQ(r.value().b_run, "pert");
   ASSERT_FALSE(r.value().sections.empty());
@@ -288,7 +302,7 @@ TEST(DiffReport, AccountingCountersReconcileExactly) {
 
   auto self = diff_files(a, a, {});
   ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value().kind, DiffKind::kReport);
+  EXPECT_EQ(self.value().kind, ArtifactKind::kReport);
   EXPECT_EQ(self.value().significant, 0u);
   const DiffEntry* minted = find_entry(self.value(), "mntp.queries.minted");
   ASSERT_NE(minted, nullptr);
@@ -318,12 +332,12 @@ TEST(DiffQueryTrace, ShareShiftIsSignificant) {
 
   auto self = diff_files(a, a, {});
   ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value().kind, DiffKind::kQueryTrace);
+  EXPECT_EQ(self.value().kind, ArtifactKind::kQueryTrace);
   EXPECT_EQ(self.value().significant, 0u);
 
   auto r = diff_files(a, b, {});
   ASSERT_TRUE(r.ok());
-  const DiffEntry* pop = find_entry(r.value(), "ntp/popcorn");
+  const DiffEntry* pop = find_entry(r.value(), "ntp/popcorn_suppressed");
   ASSERT_NE(pop, nullptr);
   EXPECT_EQ(pop->cls, "shifted");
   EXPECT_TRUE(pop->significant);
@@ -339,7 +353,7 @@ TEST(DiffTimeline, DivergenceScoresAgainstOwnSpread) {
 
   auto self = diff_files(a, a, {});
   ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value().kind, DiffKind::kTimeline);
+  EXPECT_EQ(self.value().kind, ArtifactKind::kTimeline);
   EXPECT_EQ(self.value().significant, 0u);
 
   auto r = diff_files(a, b, {});
@@ -414,11 +428,12 @@ TEST(DiffErrors, MixedKindsMalformedAndUnsupported) {
   }
 }
 
-/// Seeded, fuzz-style robustness pass over the two loaders CI feeds
-/// (bench and profile): byte flips, truncations and value-type swaps of
-/// the numbers the diff reads. Every variant must come back as a result
-/// or an error, in either argument position, and never crash or abort.
-/// A type swap of a bench median is always an error.
+/// Seeded, fuzz-style robustness pass over one valid artifact of each of
+/// the seven kinds: byte flips, truncations and value-type swaps of the
+/// numbers the loader checks. Every variant must come back from
+/// load_artifact, and from diff_files in either argument position, as a
+/// result or an error, and never crash or abort. A type swap of a bench
+/// median is always an error.
 TEST(DiffFuzz, MutatedFixturesReturnResultOrError) {
   std::mt19937_64 rng(20160101);  // fixed: the same variants every run
   const auto pick = [&rng](std::size_t n) {
@@ -426,11 +441,16 @@ TEST(DiffFuzz, MutatedFixturesReturnResultOrError) {
   };
   const std::string replacements[] = {"\"12\"", "null", "true", "[]", "{}",
                                       "-1", "1e999", "\"\"", "[1,2]"};
-  std::size_t results = 0, errors = 0;
+  std::size_t results = 0, errors = 0, loads = 0;
   for (const auto& [fixture, keys] :
        std::vector<std::pair<std::string, std::vector<std::string>>>{
            {"diff_bench_base.json", {"\"median_us\": "}},
-           {"diff_profile_base.json", {"\"dur\": ", "\"self_us\": "}}}) {
+           {"diff_profile_base.json", {"\"dur\": ", "\"self_us\": "}},
+           {"artifact_report.jsonl", {"\"value\":", "\"count\":"}},
+           {"artifact_query_trace.jsonl", {"\"t_ns\":", "\"id\":"}},
+           {"artifact_timeline.jsonl", {"\"samples\":", "\"cadence_ns\":"}},
+           {"artifact_diff.json", {"\"score\": ", "\"significant\": "}},
+           {"artifact_fleet.json", {"\"requests\": ", "\"p50_ms\": "}}}) {
     const std::string original =
         std::string(MNTP_TEST_DATA_DIR) + "/" + fixture;
     std::ifstream in(original);
@@ -474,6 +494,12 @@ TEST(DiffFuzz, MutatedFixturesReturnResultOrError) {
         }
       }
       const std::string variant = write_file("fuzz_" + fixture, doc);
+      auto loaded = load_artifact(variant);
+      if (loaded.ok()) {
+        ++loads;
+      } else {
+        EXPECT_FALSE(loaded.error().message.empty());
+      }
       for (const auto& [a, b] :
            {std::pair{variant, original}, std::pair{original, variant}}) {
         auto r = diff_files(a, b, opt);
@@ -495,6 +521,7 @@ TEST(DiffFuzz, MutatedFixturesReturnResultOrError) {
   // Both outcomes occur, so the harness reaches past the parser.
   EXPECT_GT(results, 0u);
   EXPECT_GT(errors, 0u);
+  EXPECT_GT(loads, 0u);
 }
 
 TEST(DiffRender, JsonOutputParsesAndMatchesTallies) {

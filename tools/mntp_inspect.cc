@@ -1,24 +1,28 @@
-// mntp-inspect: terminal summarizer for the observability artifacts the
-// bench harness writes — JSONL run reports (--telemetry-out, schema in
-// src/obs/report.h), Chrome trace-event span profiles (--profile-out),
-// perf-suite baselines (BENCH_results.json), query traces
-// (--query-trace-out, kind mntp_query_trace) and timelines
-// (--timeline-out, kind mntp_timeline).
+// mntp-inspect: terminal summarizer, validator and comparer for the
+// observability artifacts the bench harness writes — JSONL run reports
+// (--telemetry-out), Chrome span profiles (--profile-out), perf-suite
+// results (BENCH_*.json), query traces (--query-trace-out), timelines
+// (--timeline-out), diff records (`diff --json`) and fleet reports
+// (fleet_qps --fleet-out).
 //
 //   mntp-inspect run.jsonl profile.json BENCH_results.json
+//   mntp-inspect validate [--require-prefixes sim.,net.] run.jsonl
+//   mntp-inspect diff BENCH_baseline.json BENCH_results.json
+//   mntp-inspect compact full_profile.json compact_profile.json
 //
-// The file kind is detected from content, not extension: a JSONL meta
-// line with no `kind` is a run report, and a `kind` other than the two
-// above is refused as unrecognized. For run reports
-// the tool prints the metric registry as tables, per-category/per-name
-// event counts, the span-profile aggregates when present, and flags
-// offset anomalies: mntp `round` events whose offset falls more than
-// --sigma (default 4) standard deviations from the run's least-squares
-// offset trend — the quickest "did the filter see something wild" check
-// without replotting the whole series.
+// Every file is read through obs::load_artifact (src/obs/artifact.h),
+// which detects the kind from content and validates every line. For run
+// reports the tool prints the metric registry as tables,
+// per-category/per-name event counts, the span-profile aggregates when
+// present, and flags offset anomalies: mntp `round` events whose offset
+// falls more than --sigma (default 4) standard deviations from the
+// run's least-squares offset trend — the quickest "did the filter see
+// something wild" check without replotting the whole series.
 //
 // Exit code: 0 on success (anomalies are informational), 1 when any
-// input cannot be read or parsed, 2 on usage errors.
+// input cannot be read, is not an artifact or breaks its schema, 2 on
+// usage errors and empty or truncated files. `validate` prints
+// "OK: <path> — <kind>: ..." per valid file under the same contract.
 //
 // The `diff` subcommand (src/obs/diff.h) compares two artifacts of the
 // same kind and has its own exit contract: 0 identical within
@@ -30,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -37,27 +42,32 @@
 
 #include "core/format.h"
 #include "core/json.h"
+#include "core/json_writer.h"
 #include "core/linreg.h"
 #include "core/stats.h"
 #include "core/table.h"
+#include "obs/artifact.h"
 #include "obs/diff.h"
 
 using mntp::core::Json;
+using mntp::obs::Artifact;
+using mntp::obs::ArtifactKind;
 
 namespace {
 
+enum class Mode { kInspect, kExplain, kTimeline, kDiff, kValidate, kCompact };
+
 struct Options {
+  Mode mode = Mode::kInspect;
   double sigma = 4.0;        // anomaly threshold, in trend-residual sigmas
   std::size_t max_rows = 20; // cap for anomaly listings
-  bool explain = false;      // print per-query timelines for query traces
   long long query_id = -1;   // explain a single query (-1: first --limit)
   std::size_t limit = 10;    // timelines shown in explain mode
-  bool timeline = false;     // `timeline` subcommand (explicit mode)
   std::string series;        // timeline: only series containing this
   std::size_t width = 64;    // timeline: sparkline columns
-  bool diff = false;         // `diff` subcommand (cross-run comparison)
   bool json = false;         // diff: machine output instead of tables
   mntp::obs::DiffOptions diff_opt;  // tolerance/floor/divergence/top
+  std::vector<std::string> require_prefixes;  // validate: report metrics
 };
 
 /// Checked numeric flag parsing: the whole argument must be a number
@@ -93,6 +103,9 @@ bool parse_size_arg(const char* s, std::size_t& out) {
   return true;
 }
 
+/// printf's %lld wants long long; Json integers are int64_t.
+long long as_ll(const Json& v) { return v.as_int(); }
+
 std::string format_labels(const Json& labels) {
   std::string out;
   for (const auto& [key, value] : labels.as_object()) {
@@ -102,23 +115,16 @@ std::string format_labels(const Json& labels) {
   return out;
 }
 
-double field_number(const Json& fields, const char* key) {
-  return fields[key].as_double();
-}
-
-/// Forward compatibility: an artifact stamped with a schema_version this
-/// tool does not know is rendered best-effort (unknown keys are ignored,
-/// absent keys read as neutral defaults) behind a warning, instead of
-/// hard-failing — a newer producer should not brick an older inspector.
-/// Absent / zero versions (pre-versioning artifacts) stay silent.
-void warn_unknown_schema(const std::string& path, const Json& meta) {
-  const long long version = meta["schema_version"].as_int();
-  if (version != 0 && version != 1) {
-    std::fprintf(stderr,
-                 "mntp-inspect: %s: unknown schema_version %lld (this build "
-                 "understands 1); rendering best-effort\n",
-                 path.c_str(), version);
-  }
+/// A file load_artifact refused: the message, then the 1-vs-2 half of
+/// the exit contract — empty and truncated files exit 2, every other bad
+/// artifact 1.
+int refuse(const mntp::core::Error& error, const char* prefix) {
+  std::fprintf(stderr, "%s%s%s\n", prefix,
+               error.code == mntp::core::Error::Code::kNotFound
+                   ? "unrecognized artifact: "
+                   : "",
+               error.message.c_str());
+  return error.code == mntp::core::Error::Code::kUnavailable ? 2 : 1;
 }
 
 // ---------------------------------------------------------------- report
@@ -128,39 +134,21 @@ struct SpanRow {
          max_us = 0;
 };
 
-int inspect_report(const std::string& path,
-                   const std::vector<std::string>& lines, const Options& opt) {
+int inspect_report(const Artifact& art, const Options& opt) {
   std::vector<Json> metrics;
   std::map<std::string, std::size_t> category_counts;
   std::map<std::string, std::size_t> event_counts;  // "category/name"
   std::map<std::string, SpanRow> spans;             // from profile.span.*
   std::vector<double> round_t_s, round_offset_ms;
 
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      if (i + 1 == lines.size()) {
-        std::fprintf(stderr,
-                     "mntp-inspect: %s: truncated artifact (last line is "
-                     "not valid JSON)\n",
-                     path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), i + 1,
-                   parsed.error().message.c_str());
-      return 1;
-    }
-    const Json line = parsed.value();
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics, "
-                  "%lld events\n",
-                  path.c_str(), line["run"].as_string().c_str(),
-                  static_cast<double>(line["sim_end_ns"].as_int()) / 1e9,
-                  static_cast<long long>(line["metric_count"].as_int()),
-                  static_cast<long long>(line["event_count"].as_int()));
-    } else if (type == "metric") {
+  const Json& meta = art.doc;
+  std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics, "
+              "%lld events\n",
+              art.path.c_str(), meta["run"].as_string().c_str(),
+              static_cast<double>(meta["sim_end_ns"].as_int()) / 1e9,
+              as_ll(meta["metric_count"]), as_ll(meta["event_count"]));
+  for (const Json& line : art.body) {
+    if (line["type"] == "metric") {
       const std::string& name = line["name"].as_string();
       if (name.rfind("profile.span.", 0) == 0) {
         SpanRow& row = spans[line["labels"]["span"].as_string()];
@@ -175,14 +163,14 @@ int inspect_report(const std::string& path,
       } else {
         metrics.push_back(line);
       }
-    } else if (type == "event") {
+    } else if (line["type"] == "event") {
       const std::string& category = line["category"].as_string();
       const std::string& name = line["name"].as_string();
       ++category_counts[category];
       ++event_counts[category + "/" + name];
       if (category == "mntp" && name == "round") {
         round_t_s.push_back(static_cast<double>(line["t_ns"].as_int()) / 1e9);
-        round_offset_ms.push_back(field_number(line["fields"], "offset_ms"));
+        round_offset_ms.push_back(line["fields"]["offset_ms"].as_double());
       }
     }
   }
@@ -205,8 +193,7 @@ int inspect_report(const std::string& path,
     }
     if (kind == "histogram") {
       histograms.add_row({m["name"].as_string(), format_labels(m["labels"]),
-                          mntp::core::strformat("%lld", static_cast<long long>(
-                                                            m["count"].as_int())),
+                          mntp::core::strformat("%lld", as_ll(m["count"])),
                           mntp::core::fmt_double(m["p50"].as_double()),
                           mntp::core::fmt_double(m["p90"].as_double()),
                           mntp::core::fmt_double(m["p99"].as_double()),
@@ -312,8 +299,7 @@ std::string format_stage_fields(const Json& fields) {
     } else if (value.is_bool()) {
       out += value.as_bool() ? "true" : "false";
     } else if (value.is_int()) {
-      out += mntp::core::strformat("%lld",
-                                   static_cast<long long>(value.as_int()));
+      out += mntp::core::strformat("%lld", as_ll(value));
     } else {
       out += mntp::core::strformat("%g", value.as_double());
     }
@@ -351,76 +337,30 @@ void print_timeline(const TraceRow& q,
   }
 }
 
-int inspect_query_trace(const std::string& path,
-                        const std::vector<std::string>& lines,
-                        const Options& opt) {
+int inspect_query_trace(const Artifact& art, const Options& opt) {
   std::vector<TraceRow> queries;
-  std::string run;
-  double sim_end_s = 0.0;
-  long long dropped = 0;
-  bool sampled = false;       // meta carried a "sampling" block
-  long long sample_n = 1, sample_seed = 0;
-  long long minted = 0, kept = 0, sampled_out = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      if (i + 1 == lines.size()) {
-        std::fprintf(stderr,
-                     "mntp-inspect: %s: truncated artifact (last line is "
-                     "not valid JSON)\n",
-                     path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), i + 1,
-                   parsed.error().message.c_str());
-      return 1;
-    }
-    const Json line = parsed.value();
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      run = line["run"].as_string();
-      sim_end_s = static_cast<double>(line["sim_end_ns"].as_int()) / 1e9;
-      dropped = line["dropped"].as_int();
-      if (line.has("sampling")) {
-        const Json& s = line["sampling"];
-        sampled = true;
-        sample_n = s["sample_one_in_n"].as_int();
-        sample_seed = s["seed"].as_int();
-        minted = s["minted"].as_int();
-        kept = s["kept"].as_int();
-        sampled_out = s["sampled_out"].as_int();
-      }
-    } else if (type == "query") {
-      TraceRow q;
-      q.id = line["id"].as_int();
-      q.parent = line["parent"].as_int();
-      q.kind = line["kind"].as_string();
-      q.start_s = static_cast<double>(line["start_ns"].as_int()) / 1e9;
-      q.stages = line["stages"];
-      queries.push_back(std::move(q));
-    }
+  for (const Json& line : art.body) {
+    if (line["type"] != "query") continue;  // best-effort on newer schemas
+    TraceRow q;
+    q.id = line["id"].as_int();
+    q.parent = line["parent"].as_int();
+    q.kind = line["kind"].as_string();
+    q.start_s = static_cast<double>(line["start_ns"].as_int()) / 1e9;
+    q.stages = line["stages"];
+    queries.push_back(std::move(q));
   }
+  const Json& meta = art.doc;
   std::printf("query trace: %s\n  run=%s  sim_end=%.1fs  %zu queries stored"
               " (%lld dropped)\n",
-              path.c_str(), run.c_str(), sim_end_s, queries.size(), dropped);
-  if (sampled) {
+              art.path.c_str(), meta["run"].as_string().c_str(),
+              static_cast<double>(meta["sim_end_ns"].as_int()) / 1e9,
+              queries.size(), as_ll(meta["dropped"]));
+  if (meta.has("sampling")) {
+    const Json& s = meta["sampling"];
     std::printf("  sampling: 1-in-%lld (seed %lld)  minted=%lld kept=%lld "
                 "sampled_out=%lld\n",
-                sample_n, sample_seed, minted, kept, sampled_out);
-    // Conservation: every minted id ends exactly one way. A mismatch
-    // means the producer lost track of ids — worth shouting about, but
-    // the stored traces still render fine, so it stays informational.
-    if (minted != kept + sampled_out + dropped) {
-      std::printf("  WARNING: accounting mismatch: minted %lld != kept %lld "
-                  "+ sampled_out %lld + dropped %lld\n",
-                  minted, kept, sampled_out, dropped);
-    }
-    if (static_cast<long long>(queries.size()) != kept) {
-      std::printf("  WARNING: %zu query lines stored but meta claims %lld "
-                  "kept\n",
-                  queries.size(), kept);
-    }
+                as_ll(s["sample_one_in_n"]), as_ll(s["seed"]),
+                as_ll(s["minted"]), as_ll(s["kept"]), as_ll(s["sampled_out"]));
   }
 
   // Aggregate causation: every query's fate, bucketed by kind and
@@ -442,9 +382,8 @@ int inspect_query_trace(const std::string& path,
         // The link walker records the hop index as an integer; channel
         // models may name hops with a string instead.
         const Json& hop = s["fields"]["hop"];
-        ++loss_by_hop[hop.is_string()
-                          ? hop.as_string()
-                          : std::to_string(static_cast<long long>(hop.as_int()))];
+        ++loss_by_hop[hop.is_string() ? hop.as_string()
+                                      : std::to_string(as_ll(hop))];
       }
     }
   }
@@ -476,7 +415,7 @@ int inspect_query_trace(const std::string& path,
     std::printf("packet loss by hop:\n%s\n", table.render().c_str());
   }
 
-  if (!opt.explain) return 0;
+  if (opt.mode != Mode::kExplain) return 0;
 
   // Per-query timelines: roots (rounds and orphan exchanges) with their
   // child exchanges nested underneath.
@@ -508,7 +447,7 @@ int inspect_query_trace(const std::string& path,
   }
   if (opt.query_id >= 0 && !found) {
     std::fprintf(stderr, "mntp-inspect: query #%lld not in %s\n",
-                 opt.query_id, path.c_str());
+                 opt.query_id, art.path.c_str());
     return 1;
   }
   return 0;
@@ -573,11 +512,10 @@ int inspect_bench(const std::string& path, const Json& doc) {
   const Json& env = doc["environment"];
   std::printf("perf-suite results: %s\n  reps=%lld warmup=%lld  compiler=%s "
               "build=%s threads=%lld\n",
-              path.c_str(), static_cast<long long>(doc["reps"].as_int()),
-              static_cast<long long>(doc["warmup"].as_int()),
+              path.c_str(), as_ll(doc["reps"]), as_ll(doc["warmup"]),
               env["compiler"].as_string().c_str(),
               env["build_type"].as_string().c_str(),
-              static_cast<long long>(env["hardware_threads"].as_int()));
+              as_ll(env["hardware_threads"]));
   mntp::core::TextTable table(
       {"workload", "median_us", "mad_us", "p95_us", "min_us", "max_us"});
   for (const Json& w : doc["workloads"].as_array()) {
@@ -636,54 +574,33 @@ std::string sparkline(const SeriesRow& s, std::size_t width) {
   return out;
 }
 
-int inspect_timeline(const std::string& path,
-                     const std::vector<std::string>& lines,
-                     const Options& opt) {
-  std::string run;
-  double sim_end_s = 0.0, cadence_s = 0.0;
-  long long declared_series = 0;
+int inspect_timeline(const Artifact& art, const Options& opt) {
   std::vector<SeriesRow> series;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      // A cleanly-written timeline parses line by line; a line that does
-      // not is a partial write (crashed bench, interrupted copy).
-      std::fprintf(stderr,
-                   "mntp-inspect: %s: truncated artifact (line %zu is not "
-                   "valid JSON)\n",
-                   path.c_str(), i + 1);
-      return 2;
+  for (const Json& line : art.body) {
+    if (line["type"] != "series") continue;  // best-effort on newer schemas
+    SeriesRow s;
+    s.name = line["name"].as_string();
+    s.labels = format_labels(line["labels"]);
+    s.probe = line["probe"].as_string();
+    s.samples = line["samples"].as_int();
+    s.stride = line["stride"].as_int();
+    for (const Json& p : line["points"].as_array()) {
+      s.t_s.push_back(static_cast<double>(p.at(0).as_int()) / 1e9);
+      s.min.push_back(p.at(1).as_double());
+      s.mean.push_back(p.at(2).as_double());
+      s.max.push_back(p.at(3).as_double());
+      s.last = p.at(4).as_double();
     }
-    const Json line = parsed.value();
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      run = line["run"].as_string();
-      sim_end_s = static_cast<double>(line["sim_end_ns"].as_int()) / 1e9;
-      cadence_s = static_cast<double>(line["cadence_ns"].as_int()) / 1e9;
-      declared_series = line["series_count"].as_int();
-    } else if (type == "series") {
-      SeriesRow s;
-      s.name = line["name"].as_string();
-      s.labels = format_labels(line["labels"]);
-      s.probe = line["probe"].as_string();
-      s.samples = line["samples"].as_int();
-      s.stride = line["stride"].as_int();
-      for (const Json& p : line["points"].as_array()) {
-        const auto& a = p.as_array();
-        s.t_s.push_back(static_cast<double>(a[0].as_int()) / 1e9);
-        s.min.push_back(a[1].as_double());
-        s.mean.push_back(a[2].as_double());
-        s.max.push_back(a[3].as_double());
-        s.last = a[4].as_double();
-      }
-      series.push_back(std::move(s));
-    }
+    series.push_back(std::move(s));
   }
+  const Json& meta = art.doc;
+  const std::string& path = art.path;
   std::printf("timeline: %s\n  run=%s  sim_end=%.1fs  cadence=%.3fs  "
               "%zu series (%lld declared)\n",
-              path.c_str(), run.c_str(), sim_end_s, cadence_s, series.size(),
-              declared_series);
+              path.c_str(), meta["run"].as_string().c_str(),
+              static_cast<double>(meta["sim_end_ns"].as_int()) / 1e9,
+              static_cast<double>(meta["cadence_ns"].as_int()) / 1e9,
+              series.size(), as_ll(meta["series_count"]));
 
   std::size_t shown = 0;
   for (const SeriesRow& s : series) {
@@ -749,91 +666,202 @@ int inspect_timeline(const std::string& path,
   return 0;
 }
 
+// ----------------------------------------------------------------- fleet
+
+std::string pct(long long part, long long whole) {
+  return whole > 0 ? mntp::core::strformat("%.1f%%", 100.0 * part / whole)
+                   : std::string("-");
+}
+
+int inspect_fleet(const Artifact& art) {
+  using mntp::core::fmt_count;
+  using mntp::core::fmt_double;
+  const Json& doc = art.doc;
+  const Json& params = doc["params"];
+  const Json& tp = doc["throughput"];
+  const auto n = [&doc](const char* key) {
+    return as_ll(doc["totals"][key]);
+  };
+  std::printf("fleet report: %s\n  clients=%lld  duration=%.0fs  "
+              "shards=%lld  seed=%lld  kod_limit/slice=%lld\n  threads=%lld  "
+              "wall=%.3fs  %.0f queries/s/core\n",
+              art.path.c_str(), as_ll(params["clients"]),
+              params["duration_s"].as_double(), as_ll(params["shards"]),
+              as_ll(params["seed"]), as_ll(params["kod_limit_per_slice"]),
+              as_ll(tp["threads"]), tp["wall_s"].as_double(),
+              tp["qps_per_core"].as_double());
+  const long long lookups = n("cache_hits") + n("cache_misses");
+  std::printf("  queries %s  arrived %s  dropped %s  batches %s\n"
+              "  KoD %s (%s of arrived)  cache hit ratio %s  "
+              "OWD valid %s / invalid %s\n",
+              fmt_count(n("queries")).c_str(), fmt_count(n("arrived")).c_str(),
+              fmt_count(n("dropped")).c_str(), fmt_count(n("batches")).c_str(),
+              fmt_count(n("kod")).c_str(), pct(n("kod"), n("arrived")).c_str(),
+              pct(n("cache_hits"), lookups).c_str(),
+              fmt_count(n("owd_valid")).c_str(),
+              fmt_count(n("owd_invalid")).c_str());
+
+  mntp::core::TextTable servers({"server", "requests", "share"});
+  for (const Json& server : doc["servers"].as_array()) {
+    const long long requests = as_ll(server["requests"]);
+    servers.add_row({server["id"].as_string(), fmt_count(requests),
+                     pct(requests, n("arrived"))});
+  }
+  std::printf("\nper-server load (share of arrived):\n%s\n",
+              servers.render().c_str());
+
+  mntp::core::TextTable owd({"category", "count", "p50_ms", "p90_ms",
+                             "p99_ms", "mean_ms", "max_ms"});
+  for (const Json& r : doc["category_owd"].as_array()) {
+    std::vector<std::string> row{r["category"].as_string(),
+                                 fmt_count(r["count"].as_int())};
+    for (const char* key :
+         {"p50_ms", "p90_ms", "p99_ms", "mean_ms", "max_ms"}) {
+      row.push_back(fmt_double(r[key].as_double()));
+    }
+    owd.add_row(std::move(row));
+  }
+  std::printf("one-way delay by provider category:\n%s\n",
+              owd.render().c_str());
+  return 0;
+}
+
 // -------------------------------------------------------------- dispatch
 
 int inspect_file(const std::string& path, const Options& opt) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "mntp-inspect: cannot read %s\n", path.c_str());
-    return 1;
+  auto loaded = mntp::obs::load_artifact(path);
+  if (!loaded.ok()) return refuse(loaded.error(), "mntp-inspect: ");
+  const Artifact& art = loaded.value();
+  // Forward compatibility: a newer producer must not brick an older
+  // inspector, so a newer schema renders best-effort behind a warning.
+  if (art.newer_schema_version != 0) {
+    std::fprintf(stderr,
+                 "mntp-inspect: %s: unknown schema_version %lld (this build "
+                 "understands 1); rendering best-effort\n",
+                 path.c_str(),
+                 static_cast<long long>(art.newer_schema_version));
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.find_first_not_of(" \t\r\n") == std::string::npos) {
-    // A zero-byte (or whitespace-only) file is a distinct failure from an
-    // unrecognized one: the producing bench crashed before its first
-    // write, or the path was pre-created by the harness.
-    std::fprintf(stderr, "mntp-inspect: %s: empty artifact file\n",
-                 path.c_str());
-    return 2;
-  }
-
-  // Whole-file JSON first (profile / bench results); on failure fall back
-  // to JSONL (run report), whose second line makes whole-file parse fail.
-  // A JSONL artifact holding only its meta line (a query trace or
-  // timeline with no records) parses whole too, and goes to JSONL.
-  if (auto doc = Json::parse(content);
-      doc.ok() && doc.value()["type"].as_string() != "meta") {
-    const Json& json = doc.value();
-    if (opt.timeline) {
-      std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
-                   path.c_str());
-      return 1;
-    }
-    if (json.has("traceEvents")) return inspect_profile(path, json);
-    if (json["kind"].as_string() == "mntp_perf_suite") {
-      warn_unknown_schema(path, json);
-      return inspect_bench(path, json);
-    }
-    std::fprintf(stderr, "mntp-inspect: %s: unrecognized JSON document\n",
+  if (opt.mode == Mode::kTimeline && art.kind != ArtifactKind::kTimeline) {
+    std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
                  path.c_str());
     return 1;
   }
-  std::vector<std::string> lines;
-  std::string line;
-  std::istringstream stream(content);
-  while (std::getline(stream, line)) lines.push_back(line);
-  if (!lines.empty()) {
-    if (auto first = Json::parse(lines.front());
-        first.ok() && first.value()["type"].as_string() == "meta") {
-      warn_unknown_schema(path, first.value());
-      const std::string& kind = first.value()["kind"].as_string();
-      if (kind == "mntp_timeline") {
-        return inspect_timeline(path, lines, opt);
-      }
-      if (opt.timeline) {
-        std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
-                     path.c_str());
-        return 1;
-      }
-      if (kind == "mntp_query_trace") {
-        return inspect_query_trace(path, lines, opt);
-      }
-      // Run reports are the one JSONL kind whose meta carries no `kind`.
-      if (!kind.empty()) {
-        std::fprintf(stderr,
-                     "mntp-inspect: %s: unrecognized artifact kind '%s'\n",
-                     path.c_str(), kind.c_str());
-        return 1;
-      }
-      return inspect_report(path, lines, opt);
-    }
-    // A JSONL artifact whose FIRST line already fails to parse was cut
-    // off mid-write (every writer emits the meta line atomically first).
-    if (auto first = Json::parse(lines.front()); !first.ok()) {
-      std::fprintf(stderr,
-                   "mntp-inspect: %s: truncated artifact (first line is "
-                   "not valid JSON)\n",
-                   path.c_str());
-      return 2;
-    }
+  switch (art.kind) {
+    case ArtifactKind::kReport: return inspect_report(art, opt);
+    case ArtifactKind::kProfile: return inspect_profile(path, art.doc);
+    case ArtifactKind::kBench: return inspect_bench(path, art.doc);
+    case ArtifactKind::kQueryTrace: return inspect_query_trace(art, opt);
+    case ArtifactKind::kTimeline: return inspect_timeline(art, opt);
+    case ArtifactKind::kDiff:  // `diff` renders these; summarize only
+      std::printf("diff record: %s\n  %s\n", path.c_str(),
+                  mntp::obs::artifact_summary(art).c_str());
+      return 0;
+    case ArtifactKind::kFleet: return inspect_fleet(art);
   }
-  std::fprintf(stderr,
-               "mntp-inspect: %s: not a run report, span profile, "
-               "perf-suite result, query trace or timeline\n",
-               path.c_str());
   return 1;
+}
+
+/// `validate`: the schema verdict alone, one "OK:" line per valid file.
+/// --require-prefixes additionally demands at least one run-report metric
+/// per listed name prefix (how CTest asserts every layer reported).
+int validate_file(const std::string& path, const Options& opt) {
+  auto loaded = mntp::obs::load_artifact(path);
+  if (!loaded.ok()) return refuse(loaded.error(), "SCHEMA ERROR: ");
+  const Artifact& art = loaded.value();
+  if (art.newer_schema_version != 0) {
+    std::fprintf(stderr,
+                 "SCHEMA ERROR: %s: unsupported schema_version %lld (this "
+                 "build understands 1)\n",
+                 path.c_str(),
+                 static_cast<long long>(art.newer_schema_version));
+    return 1;
+  }
+  if (art.kind == ArtifactKind::kReport) {
+    for (const std::string& prefix : opt.require_prefixes) {
+      const bool found = std::any_of(
+          art.body.begin(), art.body.end(), [&prefix](const Json& line) {
+            return line["type"] == "metric" &&
+                   line["name"].as_string().rfind(prefix, 0) == 0;
+          });
+      if (!found) {
+        std::fprintf(stderr,
+                     "SCHEMA ERROR: %s: no metric with required prefix '%s'\n",
+                     path.c_str(), prefix.c_str());
+        return 1;
+      }
+    }
+  }
+  std::printf("OK: %s — %s\n", path.c_str(),
+              mntp::obs::artifact_summary(art).c_str());
+  return 0;
+}
+
+/// `compact IN OUT`: one ph:"X" event per span name whose dur and
+/// args.self_us are the summed wall and self time and args.agg_count the
+/// folded event count; metadata events and other top-level keys pass
+/// through. The result is commit-sized, and `diff` of two compacted
+/// profiles of same-shaped runs attributes exactly like the full traces
+/// (it aggregates by name first). Do not diff a compacted profile
+/// against a full one: totals agree but per-name counts do not.
+int compact_profile(const std::string& in, const std::string& out) {
+  auto loaded = mntp::obs::load_artifact(in);
+  if (!loaded.ok()) return refuse(loaded.error(), "mntp-inspect: ");
+  const Json& doc = loaded.value().doc;
+  if (loaded.value().kind != ArtifactKind::kProfile) {
+    std::fprintf(stderr, "mntp-inspect: %s: not a span profile\n", in.c_str());
+    return 1;
+  }
+  struct Agg {
+    std::int64_t count = 0;
+    double total_us = 0.0, self_us = 0.0;
+  };
+  std::map<std::string, Agg> spans;
+  std::size_t events = 0;
+  std::string text;
+  mntp::core::JsonWriter w(text, 1);
+  w.begin_object();
+  for (const auto& [key, value] : doc.as_object()) {
+    if (key != "traceEvents") w.key(key).value(value);
+  }
+  w.key("traceEvents").begin_array();
+  for (const Json& e : doc["traceEvents"].as_array()) {
+    if (e["ph"] == "M") {
+      w.value(e);
+      continue;
+    }
+    Agg& agg = spans[e["name"].as_string()];
+    ++agg.count;
+    agg.total_us += e["dur"].as_double();
+    agg.self_us += e["args"]["self_us"].as_double();
+    ++events;
+  }
+  std::int64_t ts = 0;
+  for (const auto& [name, agg] : spans) {
+    w.begin_object()
+        .kv("name", name)
+        .kv("cat", "aggregate")
+        .kv("ph", "X")
+        .kv("pid", 1)
+        .kv("tid", 1)
+        .kv("ts", ts);
+    w.key("dur").value_fixed(agg.total_us, 3);
+    w.key("args").begin_object();
+    w.key("self_us").value_fixed(std::min(agg.self_us, agg.total_us), 3);
+    w.kv("depth", 0).kv("agg_count", agg.count).end_object().end_object();
+    // Non-overlapping synthetic timestamps keep trace viewers happy.
+    ts += static_cast<std::int64_t>(agg.total_us) + 1;
+  }
+  w.end_array().end_object();
+  text += "\n";
+  std::ofstream file(out);
+  file << text;
+  if (!file.flush()) {
+    std::fprintf(stderr, "mntp-inspect: cannot write %s\n", out.c_str());
+    return 1;
+  }
+  std::printf("compact: %s — %zu span aggregate(s) from %zu events\n",
+              out.c_str(), spans.size(), events);
+  return 0;
 }
 
 }  // namespace
@@ -874,21 +902,21 @@ int main(int argc, char** argv) {
       return false;
     };
     const char* value = nullptr;
-    if (arg == "explain" && paths.empty() && !opt.explain && !opt.timeline &&
-        !opt.diff) {
-      // Subcommand: per-query timelines on top of the causation tables.
-      opt.explain = true;
-    } else if (arg == "timeline" && paths.empty() && !opt.timeline &&
-               !opt.explain && !opt.diff) {
-      // Subcommand: explicit timeline mode (the artifact kind is also
-      // auto-detected; the subcommand exists for --series/--width
-      // discoverability and to reject non-timeline inputs).
-      opt.timeline = true;
-    } else if (arg == "diff" && paths.empty() && !opt.diff && !opt.explain &&
-               !opt.timeline) {
-      // Subcommand: cross-run diff of two artifacts of the same kind
-      // (src/obs/diff.h) with its own 0/1/2 exit-code contract.
-      opt.diff = true;
+    // Subcommands, valid only first: `explain` adds per-query timelines
+    // to query traces; `timeline` renders only timelines (--series,
+    // --width); `diff` compares two artifacts of the same kind
+    // (src/obs/diff.h) under its own 0/1/2 exit contract; `validate`
+    // prints the schema verdict; `compact IN OUT` folds a span profile.
+    static const std::pair<const char*, Mode> kSubcommands[] = {
+        {"explain", Mode::kExplain},   {"timeline", Mode::kTimeline},
+        {"diff", Mode::kDiff},         {"validate", Mode::kValidate},
+        {"compact", Mode::kCompact}};
+    const auto* sub = std::find_if(
+        std::begin(kSubcommands), std::end(kSubcommands),
+        [&arg](const auto& entry) { return arg == entry.first; });
+    if (sub != std::end(kSubcommands) && paths.empty() &&
+        opt.mode == Mode::kInspect) {
+      opt.mode = sub->second;
     } else if (flag == "--json") {
       opt.json = true;
     } else if (flag == "--series") {
@@ -930,6 +958,16 @@ int main(int argc, char** argv) {
       if (!take_value(value) || !parse_size_arg(value, opt.diff_opt.top)) {
         return bad_value(flag, value);
       }
+    } else if (flag == "--require-prefixes") {
+      if (!take_value(value)) {
+        std::fprintf(stderr, "mntp-inspect: --require-prefixes needs a "
+                             "comma-separated list\n");
+        return 2;
+      }
+      std::istringstream list(value);
+      for (std::string prefix; std::getline(list, prefix, ',');) {
+        if (!prefix.empty()) opt.require_prefixes.push_back(prefix);
+      }
     } else if (flag == "--budget") {
       auto budget = mntp::obs::parse_budget(take_value(value) ? value : "");
       if (!budget.ok()) {
@@ -943,16 +981,20 @@ int main(int argc, char** argv) {
           "usage: mntp-inspect [--sigma N] <file>...\n"
           "       mntp-inspect explain [--query ID] [--limit N] <trace>...\n"
           "       mntp-inspect timeline [--series S] [--width N] <timeline>...\n"
+          "       mntp-inspect validate [--require-prefixes a.,b.] <file>...\n"
+          "       mntp-inspect compact <profile> <out>\n"
           "       mntp-inspect diff [--json] [--tolerance R] [--abs-floor-us N]\n"
           "                         [--sigma N] [--divergence D] [--top N]\n"
           "                         [--budget A:B:PCT]... <A> <B>\n"
-          "  summarizes JSONL run reports, Chrome span profiles,\n"
-          "  BENCH_results.json files, query-trace and timeline JSONL (kind\n"
-          "  detected from content). `explain` adds per-query causal\n"
-          "  timelines for query traces (--query-trace-out artifacts);\n"
-          "  `timeline` renders --timeline-out artifacts as per-series\n"
-          "  sparklines with step-change flags (--series filters by\n"
-          "  substring, --width sets sparkline columns).\n"
+          "  summarizes run reports, span profiles, perf-suite results,\n"
+          "  query traces, timelines, diff records and fleet reports (kind\n"
+          "  detected from content, every line validated). `explain` adds\n"
+          "  per-query causal timelines for query traces; `timeline`\n"
+          "  renders timelines as per-series sparklines with step-change\n"
+          "  flags (--series filters by substring, --width sets columns).\n"
+          "  `validate` prints \"OK: <path> — <kind>: ...\" per valid file;\n"
+          "  --require-prefixes demands a run-report metric per prefix.\n"
+          "  `compact` folds a span profile to one event per span name.\n"
           "  `diff` compares two artifacts of the same kind and attributes\n"
           "  the change: bench medians gate (plus --budget caps within <B>),\n"
           "  profile spans rank by self-time contribution, report counters\n"
@@ -960,10 +1002,10 @@ int main(int argc, char** argv) {
           "  shares, timelines score per-series divergence; --json emits the\n"
           "  machine-readable triage record (kind mntp_diff).\n"
           "  artifacts with an unknown schema_version render best-effort\n"
-          "  behind a stderr warning (exit stays 0).\n"
-          "  exit codes: 0 ok, 1 unreadable/unrecognized artifact,\n"
-          "  2 usage or empty/truncated artifact; diff mode: 0 identical\n"
-          "  within tolerance, 1 significant regression, 2 error\n");
+          "  behind a stderr warning (exit stays 0); validate refuses them.\n"
+          "  exit codes: 0 ok, 1 unreadable/unrecognized/schema-invalid\n"
+          "  artifact, 2 usage or empty/truncated artifact; diff mode: 0\n"
+          "  identical within tolerance, 1 significant regression, 2 error\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "mntp-inspect: unknown flag %s\n", arg.c_str());
@@ -976,7 +1018,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mntp-inspect: --sigma must be > 0\n");
     return 2;
   }
-  if (opt.diff) {
+  if (opt.mode == Mode::kDiff) {
     if (paths.size() != 2) {
       std::fprintf(stderr,
                    "usage: mntp-inspect diff [--json] [--tolerance R] "
@@ -1003,18 +1045,35 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mntp-inspect: --json requires the diff mode\n");
     return 2;
   }
-  if (paths.empty()) {
+  if (!opt.require_prefixes.empty() && opt.mode != Mode::kValidate) {
     std::fprintf(stderr,
-                 "usage: mntp-inspect [explain] [--sigma N] [--query ID] "
-                 "[--limit N] <file>...\n");
+                 "mntp-inspect: --require-prefixes requires the validate "
+                 "mode\n");
     return 2;
   }
-  if (opt.query_id >= 0 && !opt.explain) {
+  if (opt.mode == Mode::kCompact) {
+    if (paths.size() != 2) {
+      std::fprintf(stderr, "usage: mntp-inspect compact <profile> <out>\n");
+      return 2;
+    }
+    return compact_profile(paths[0], paths[1]);
+  }
+  if (paths.empty()) {
+    std::fprintf(stderr,
+                 "usage: mntp-inspect [explain|timeline|validate] [--sigma N] "
+                 "[--query ID] [--limit N] <file>...\n");
+    return 2;
+  }
+  if (opt.query_id >= 0 && opt.mode != Mode::kExplain) {
     std::fprintf(stderr, "mntp-inspect: --query requires the explain mode\n");
     return 2;
   }
   int status = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (opt.mode == Mode::kValidate) {
+      status = std::max(status, validate_file(paths[i], opt));
+      continue;
+    }
     if (i != 0) std::printf("\n");
     status = std::max(status, inspect_file(paths[i], opt));
   }

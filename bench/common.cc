@@ -335,7 +335,7 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       query_trace_path_(parse_flag(argc, argv, "--query-trace-out")),
       timeline_path_(parse_flag(argc, argv, "--timeline-out")),
       scope_(telemetry_) {
-  if (enabled()) telemetry_.add_sink(&trace_);
+  if (enabled()) telemetry_.capture_events(1 << 16);
   if (profiling()) telemetry_.profiler().set_enabled(true);
   if (query_tracing()) {
     obs::QueryTracer& qt = telemetry_.query_tracer();
@@ -358,7 +358,7 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
 bool BenchTelemetry::write_report(core::TimePoint sim_end) {
   if (!enabled()) return true;
   const core::Status status = obs::write_run_report_file(
-      out_path_, telemetry_, &trace_,
+      out_path_, telemetry_,
       obs::ReportOptions{.run_name = run_name_, .sim_end = sim_end});
   if (!status.ok()) {
     std::fprintf(stderr, "telemetry report failed: %s\n",
@@ -367,7 +367,7 @@ bool BenchTelemetry::write_report(core::TimePoint sim_end) {
   }
   std::printf("\ntelemetry report: %s (%zu metrics, %zu events)\n",
               out_path_.c_str(), telemetry_.metrics().snapshot().size(),
-              trace_.events().size());
+              telemetry_.events().size());
   return true;
 }
 

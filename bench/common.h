@@ -177,12 +177,13 @@ bool parse_bool_flag(int argc, char** argv, const char* flag);
 /// Construct FIRST in main() — before any Testbed or client — so every
 /// instrumented component binds its metric handles to this run's isolated
 /// context. Parses `--telemetry-out <path>` (or `--telemetry-out=<path>`)
-/// from argv; when present, a ring-buffer trace sink is attached and
-/// `finalize(sim_end)` writes the JSONL run report (schema in
-/// src/obs/report.h) to that path. Also parses `--profile-out <path>`:
-/// when present, the run's span profiler is enabled and finalize()
-/// exports span aggregates into the metrics registry (so they land in
-/// the run report too) and writes the Chrome trace-event JSON there.
+/// from argv; when present, the context's event capture is switched on
+/// (a 2^16-event ring) and `finalize(sim_end)` writes the JSONL run
+/// report (schema in src/obs/report.h) to that path. Also parses
+/// `--profile-out <path>`: when present, the run's span profiler is
+/// enabled and finalize() exports span aggregates into the metrics
+/// registry (so they land in the run report too) and writes the Chrome
+/// trace-event JSON there.
 /// Also parses `--query-trace-out <path>`: when present, the run's
 /// query tracer is enabled and finalize() writes the per-query causal
 /// trace JSONL there (schema in src/obs/query_trace.h; inspect with
@@ -252,7 +253,6 @@ class BenchTelemetry {
   std::string query_trace_path_;
   std::string timeline_path_;
   obs::Telemetry telemetry_;
-  obs::RingBufferSink trace_;
   obs::ScopedTelemetry scope_;
 };
 

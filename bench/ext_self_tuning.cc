@@ -157,7 +157,13 @@ int offline_grid_baseline(std::size_t threads) {
   space.reset_periods = {core::Duration::hours(4)};
   const auto entries =
       protocol::tuner::search(trace, space, {.threads = threads});
-  const auto serial = protocol::tuner::search(trace, space);
+  // The serial cross-check runs in a fresh context so that only the
+  // reported search feeds the process telemetry.
+  const auto serial = [&] {
+    obs::Telemetry cross_check;
+    obs::ScopedTelemetry scope(cross_check);
+    return protocol::tuner::search(trace, space);
+  }();
 
   const auto best = std::min_element(
       entries.begin(), entries.end(),

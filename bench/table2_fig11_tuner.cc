@@ -116,9 +116,13 @@ int main(int argc, char** argv) {
   auto entries =
       protocol::tuner::search(trace, space, {.threads = threads});
   // The parallel searcher guarantees bit-identical output to the serial
-  // path; cross-check it on the real grid whenever threads were asked for.
+  // path; cross-check it on the real grid whenever threads were asked for,
+  // in a fresh context so that only the reported search feeds the run's
+  // artifacts (which then read the same for any --threads).
   bool parallel_matches_serial = true;
   if (threads > 1) {
+    obs::Telemetry cross_check;
+    obs::ScopedTelemetry scope(cross_check);
     const auto serial = protocol::tuner::search(trace, space);
     parallel_matches_serial = serial.size() == entries.size();
     for (std::size_t i = 0; parallel_matches_serial && i < serial.size(); ++i) {

@@ -15,6 +15,9 @@ namespace mntp::core {
 template <typename T>
 class RingBuffer {
  public:
+  /// An empty ring of capacity 0 that allocates nothing; it holds no
+  /// element and must be replaced by a sized ring before push().
+  RingBuffer() = default;
   explicit RingBuffer(std::size_t capacity) : buf_(capacity) {
     if (capacity == 0) throw std::invalid_argument("RingBuffer: capacity 0");
   }

@@ -1,7 +1,7 @@
 // Metrics registry: counters, gauges and histograms keyed by name+labels.
 //
 // The registry is the quantitative half of the observability layer (the
-// trace-event sink in obs/trace_event.h is the qualitative half). Design
+// trace events of obs/trace_event.h are the qualitative half). Design
 // constraints, in order:
 //
 //   1. Hot-path cheapness. Instrumented code resolves a handle (Counter*,

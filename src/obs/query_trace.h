@@ -34,11 +34,12 @@
 // RNG draws, never schedules events, and is off by default behind the
 // same cached-atomic guard discipline as the profiler, so untraced runs
 // are bit-identical to a build without the instrumentation (pinned by
-// mntp_engine_test and BM_QueryTraceDisabled). The store is bounded
-// (max_queries / max_stages_per_query); overflow increments dropped
-// counters instead of growing without bound. All mutation serializes on
-// one mutex — safe under the parallel tuner, where each worker's rounds
-// interleave arbitrarily but each stage append is atomic.
+// mntp_engine_test; perf_suite's query_trace_off row prices the disabled
+// site). The store is bounded (max_queries / max_stages_per_query);
+// overflow increments dropped counters instead of growing without
+// bound. All mutation serializes on one mutex — safe under the parallel
+// tuner, where each worker's rounds interleave arbitrarily but each
+// stage append is atomic.
 #pragma once
 
 #include <atomic>
@@ -144,8 +145,8 @@ class QueryTracer {
               std::vector<Field> fields = {});
 
   /// Configure sampling. Call before the run fans out (the same
-  /// configure-then-record rule Telemetry documents for sinks); changing
-  /// the gate mid-run would split the kept set across two rules.
+  /// configure-then-record rule Telemetry documents for event capture);
+  /// changing the gate mid-run would split the kept set across two rules.
   void set_sampling(const Sampling& sampling);
   [[nodiscard]] Sampling sampling() const;
 

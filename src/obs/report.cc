@@ -64,10 +64,10 @@ std::string to_jsonl_line(const MetricSnapshot& s) {
 }
 
 void write_run_report(std::ostream& out, const Telemetry& telemetry,
-                      const RingBufferSink* trace,
                       const ReportOptions& options) {
   const std::vector<MetricSnapshot> metrics = telemetry.metrics().snapshot();
-  const std::size_t event_count = trace ? trace->events().size() : 0;
+  // Empty while capture is off, so an uncaptured run has no event lines.
+  std::vector<TraceEvent> events = telemetry.events().to_vector();
 
   std::string meta;
   {
@@ -78,39 +78,31 @@ void write_run_report(std::ostream& out, const Telemetry& telemetry,
         .kv("run", options.run_name)
         .kv("sim_end_ns", options.sim_end.ns())
         .kv("metric_count", static_cast<std::int64_t>(metrics.size()))
-        .kv("event_count", static_cast<std::int64_t>(event_count))
+        .kv("event_count", static_cast<std::int64_t>(events.size()))
         .end_object();
   }
   out << meta << '\n';
 
   for (const MetricSnapshot& s : metrics) out << to_jsonl_line(s) << '\n';
-  if (trace) {
-    // Emission order is already sim-time order within one simulation run,
-    // but a bench that runs several sub-experiments restarts sim time at
-    // the epoch for each; stable-sort so the schema's "events in
-    // sim-time order" promise holds regardless (ties keep emission order).
-    std::vector<TraceEvent> events;
-    events.reserve(trace->events().size());
-    for (std::size_t i = 0; i < trace->events().size(); ++i) {
-      events.push_back(trace->events()[i]);
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.t.ns() < b.t.ns();
-                     });
-    for (const TraceEvent& e : events) out << to_jsonl_line(e) << '\n';
-  }
+  // Emission order is already sim-time order within one simulation run,
+  // but a bench that runs several sub-experiments restarts sim time at
+  // the epoch for each; stable-sort so the schema's "events in sim-time
+  // order" promise holds regardless (ties keep emission order).
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.t.ns() < b.t.ns();
+                   });
+  for (const TraceEvent& e : events) out << to_jsonl_line(e) << '\n';
 }
 
 core::Status write_run_report_file(const std::string& path,
                                    const Telemetry& telemetry,
-                                   const RingBufferSink* trace,
                                    const ReportOptions& options) {
   std::ofstream out(path);
   if (!out) {
     return core::Error::io("cannot open telemetry report path: " + path);
   }
-  write_run_report(out, telemetry, trace, options);
+  write_run_report(out, telemetry, options);
   out.flush();
   if (!out) {
     return core::Error::io("failed writing telemetry report: " + path);

@@ -39,14 +39,13 @@ struct ReportOptions {
 [[nodiscard]] std::string to_jsonl_line(const MetricSnapshot& snapshot);
 
 /// Write the full report: meta line, metric lines (name-sorted), then
-/// event lines (sim-time order) from `trace` when provided.
+/// the event ring's lines (sim-time order) when capture is on.
 void write_run_report(std::ostream& out, const Telemetry& telemetry,
-                      const RingBufferSink* trace, const ReportOptions& options);
+                      const ReportOptions& options);
 
 /// File variant; fails on unwritable paths.
 core::Status write_run_report_file(const std::string& path,
                                    const Telemetry& telemetry,
-                                   const RingBufferSink* trace,
                                    const ReportOptions& options);
 
 }  // namespace mntp::obs

@@ -1,34 +1,19 @@
 #include "obs/telemetry.h"
 
-#include <algorithm>
-
 namespace mntp::obs {
 
-void Telemetry::add_sink(TraceSink* sink) {
-  if (sink == nullptr) return;
-  std::lock_guard<std::mutex> lock(sink_mutex_);
-  if (std::find(sinks_.begin(), sinks_.end(), sink) == sinks_.end()) {
-    sinks_.push_back(sink);
-  }
-  has_sinks_.store(!sinks_.empty(), std::memory_order_relaxed);
-}
-
-void Telemetry::remove_sink(TraceSink* sink) {
-  std::lock_guard<std::mutex> lock(sink_mutex_);
-  sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
-  has_sinks_.store(!sinks_.empty(), std::memory_order_relaxed);
-}
-
-void Telemetry::clear_sinks() {
-  std::lock_guard<std::mutex> lock(sink_mutex_);
-  sinks_.clear();
-  has_sinks_.store(false, std::memory_order_relaxed);
+void Telemetry::capture_events(std::size_t capacity) {
+  std::lock_guard<std::mutex> lock(events_mutex_);
+  events_ = core::RingBuffer<TraceEvent>(capacity);
+  events_total_ = 0;
+  capturing_.store(true, std::memory_order_relaxed);
 }
 
 void Telemetry::emit(const TraceEvent& event) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(sink_mutex_);
-  for (TraceSink* sink : sinks_) sink->on_event(event);
+  if (!enabled() || !tracing()) return;
+  std::lock_guard<std::mutex> lock(events_mutex_);
+  events_.push(event);
+  ++events_total_;
 }
 
 void Telemetry::event(core::TimePoint t, std::string_view category,

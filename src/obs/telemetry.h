@@ -1,5 +1,5 @@
 // Telemetry context: one object bundling the metrics registry and the
-// trace-event sinks, global by default but injectable per run.
+// trace-event ring, global by default but injectable per run.
 //
 // Instrumented components resolve their metric handles from the telemetry
 // that is *current at their construction time*. The process-wide default
@@ -9,28 +9,25 @@
 // wants to observe:
 //
 //     obs::Telemetry tel;
-//     obs::RingBufferSink ring;
-//     tel.add_sink(&ring);
+//     tel.capture_events(1 << 16);       // bounded event ring
 //     obs::ScopedTelemetry scope(tel);   // global() now returns tel
 //     ntp::Testbed bed(config);          // components bind to tel
-//     ...run...                           // tel.metrics(), ring.events()
+//     ...run...                           // tel.metrics(), tel.events()
 //
 // Tracing discipline: event *construction* is the expensive part (field
-// vectors, strings), so emitters must guard with `tracing()` — with no
-// sinks attached (the default), an instrumented hot path pays only its
-// counter increments.
+// vectors, strings), so emitters must guard with `tracing()` — with
+// capture off (the default), an instrumented hot path pays only its
+// counter increments, and the context holds no ring at all.
 //
 // Thread safety: metric recording is thread-safe (see obs/metrics.h) and
 // event emission serializes on an internal mutex, so concurrent writers
 // (e.g. tuner-search workers on a core::ThreadPool) never interleave
-// *within* a sink and sinks themselves need no locking as long as all
-// emission flows through one Telemetry. Cross-thread event ORDER is
-// whatever the mutex hands out — deterministic event streams must be
-// emitted from a single thread (the parallel searcher scores on workers
-// but emits its per-config events afterwards, in enumeration order, from
-// the caller). Sink attach/detach is also serialized, but reconfiguring
-// sinks while another thread emits is still a logic error — configure
-// before fanning work out.
+// within the ring. Cross-thread event ORDER is whatever the mutex hands
+// out — deterministic event streams must be emitted from a single thread
+// (the parallel searcher scores on workers but emits its per-config
+// events afterwards, in enumeration order, from the caller). Switch
+// capture on before fanning work out, and read the ring once emission
+// has stopped.
 //
 // Wall-clock caveat: the span profiler (obs/profiler.h) reads the host's
 // steady clock. That never feeds back into simulation behaviour — simulated
@@ -39,12 +36,15 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/ring_buffer.h"
 #include "core/time.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -87,20 +87,20 @@ class Telemetry {
     return timeseries_;
   }
 
-  /// Attach a non-owning sink; the sink must outlive this context (or be
-  /// removed first).
-  void add_sink(TraceSink* sink);
-  void remove_sink(TraceSink* sink);
-  void clear_sinks();
+  /// Switch event capture on with a fresh ring of `capacity` events
+  /// (oldest evicted when full). Calling it again restarts capture with
+  /// an empty ring and zeroed totals. Until the first call the context
+  /// holds no ring: events() is empty with capacity 0.
+  void capture_events(std::size_t capacity);
 
-  /// True when at least one sink is attached — emitters use this to skip
-  /// event construction entirely on untraced runs. Lock-free (reads a
-  /// cached atomic), so hot paths on any thread can poll it freely.
+  /// True once capture is on — emitters use this to skip event
+  /// construction entirely on untraced runs. Lock-free (one relaxed
+  /// atomic load), so hot paths on any thread can poll it freely.
   [[nodiscard]] bool tracing() const {
-    return has_sinks_.load(std::memory_order_relaxed);
+    return capturing_.load(std::memory_order_relaxed);
   }
 
-  /// Fan an event out to every sink. Cheap no-op without sinks, but
+  /// Push an event into the ring. No-op while capture is off, but
   /// callers should still guard construction with tracing().
   void emit(const TraceEvent& event);
 
@@ -116,6 +116,16 @@ class Telemetry {
     return enabled_.load(std::memory_order_relaxed);
   }
 
+  /// Retained events, oldest first.
+  [[nodiscard]] const core::RingBuffer<TraceEvent>& events() const {
+    return events_;
+  }
+  /// Events ever captured, including evicted ones.
+  [[nodiscard]] std::uint64_t events_total() const { return events_total_; }
+  [[nodiscard]] std::uint64_t events_evicted() const {
+    return events_total_ - events_.size();
+  }
+
   /// The current process-wide context (the installed scoped context, or
   /// the built-in default).
   [[nodiscard]] static Telemetry& global();
@@ -128,9 +138,10 @@ class Telemetry {
   Profiler profiler_;
   QueryTracer query_tracer_;
   TimeSeriesRecorder timeseries_;
-  std::mutex sink_mutex_;  // serializes emit and sink attach/detach
-  std::vector<TraceSink*> sinks_;
-  std::atomic<bool> has_sinks_{false};
+  std::mutex events_mutex_;  // serializes emit and capture_events
+  core::RingBuffer<TraceEvent> events_;  // capacity 0 until capture
+  std::uint64_t events_total_ = 0;
+  std::atomic<bool> capturing_{false};
   std::atomic<bool> enabled_{true};
 };
 

@@ -1,4 +1,4 @@
-// Structured trace events and pluggable sinks.
+// Structured trace events.
 //
 // A trace event is a simulation-time-stamped record — (t, category, name,
 // key/value fields) — the qualitative complement of the metrics registry:
@@ -7,13 +7,9 @@
 // "mntp", "tuner"); names identify the event within the category
 // ("round", "deferral", "timeout").
 //
-// Sinks are pluggable and non-owning: the Telemetry context fans each
-// event out to every attached sink. Provided sinks:
-//
-//   * RingBufferSink — bounded in-memory capture, oldest-evicted; the
-//     default for tests and for bench run reports (obs/report.h writes
-//     its events into the run report);
-//   * NullSink       — discards everything (overhead measurement).
+// Events are captured by the Telemetry context's bounded event ring
+// (obs/telemetry.h); the run report (obs/report.h) writes the retained
+// events.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +18,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/ring_buffer.h"
 #include "core/time.h"
 
 namespace mntp::obs {
@@ -49,46 +44,5 @@ struct TraceEvent {
 /// Render one event as a single-line JSON object:
 /// {"type":"event","t_ns":...,"category":"..","name":"..","fields":{..}}
 [[nodiscard]] std::string to_jsonl_line(const TraceEvent& e);
-
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void on_event(const TraceEvent& event) = 0;
-};
-
-/// Bounded in-memory capture; evicts oldest when full.
-class RingBufferSink final : public TraceSink {
- public:
-  explicit RingBufferSink(std::size_t capacity = 1 << 16) : events_(capacity) {}
-
-  void on_event(const TraceEvent& event) override {
-    events_.push(event);
-    ++total_;
-  }
-
-  /// Retained events, oldest first.
-  [[nodiscard]] const core::RingBuffer<TraceEvent>& events() const {
-    return events_;
-  }
-  /// Events ever offered, including evicted ones.
-  [[nodiscard]] std::uint64_t total_events() const { return total_; }
-  [[nodiscard]] std::uint64_t evicted() const {
-    return total_ - events_.size();
-  }
-  void clear() {
-    events_.clear();
-    total_ = 0;
-  }
-
- private:
-  core::RingBuffer<TraceEvent> events_;
-  std::uint64_t total_ = 0;
-};
-
-/// Discards every event; used to measure pure emission overhead.
-class NullSink final : public TraceSink {
- public:
-  void on_event(const TraceEvent&) override {}
-};
 
 }  // namespace mntp::obs

@@ -186,16 +186,15 @@ TEST(Searcher, ParallelOutputBitIdenticalToSerial) {
   const Trace short_trace = make_noisy_trace(720);
   const auto traced = [&](std::size_t threads) {
     obs::Telemetry tel;
-    obs::RingBufferSink ring(1 << 18);
-    tel.add_sink(&ring);
+    tel.capture_events(1 << 18);
     tel.query_tracer().set_enabled(true);
     obs::ScopedTelemetry scope(tel);
     (void)tuner::search(short_trace, space, {.threads = threads});
     std::string events;
-    for (std::size_t i = 0; i < ring.events().size(); ++i) {
-      events += obs::to_jsonl_line(ring.events()[i]) + "\n";
+    for (std::size_t i = 0; i < tel.events().size(); ++i) {
+      events += obs::to_jsonl_line(tel.events()[i]) + "\n";
     }
-    EXPECT_EQ(ring.evicted(), 0u);
+    EXPECT_EQ(tel.events_evicted(), 0u);
     return std::make_pair(
         events, tel.query_tracer().to_jsonl("tuner", TimePoint::epoch()));
   };
@@ -219,17 +218,16 @@ TEST(Searcher, ParallelTunerEventStreamIdenticalToSerial) {
 
   auto capture = [&](std::size_t threads) {
     obs::Telemetry tel;
-    obs::RingBufferSink ring(1 << 18);
-    tel.add_sink(&ring);
+    tel.capture_events(1 << 18);
     obs::ScopedTelemetry scope(tel);
     (void)tuner::search(t, space, {.threads = threads});
     std::vector<std::string> lines;
-    for (std::size_t i = 0; i < ring.events().size(); ++i) {
-      if (ring.events()[i].category == "tuner") {
-        lines.push_back(obs::to_jsonl_line(ring.events()[i]));
+    for (std::size_t i = 0; i < tel.events().size(); ++i) {
+      if (tel.events()[i].category == "tuner") {
+        lines.push_back(obs::to_jsonl_line(tel.events()[i]));
       }
     }
-    EXPECT_EQ(ring.evicted(), 0u);
+    EXPECT_EQ(tel.events_evicted(), 0u);
     return lines;
   };
 

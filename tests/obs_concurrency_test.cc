@@ -77,8 +77,7 @@ TEST(ObsConcurrency, RegistryFindOrCreateFromManyThreads) {
 
 TEST(ObsConcurrency, EmitFromManyThreadsLosesNoEvents) {
   Telemetry tel;
-  RingBufferSink ring(1 << 20);
-  tel.add_sink(&ring);
+  tel.capture_events(1 << 20);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t) {
     threads.emplace_back([&tel] {
@@ -89,7 +88,9 @@ TEST(ObsConcurrency, EmitFromManyThreadsLosesNoEvents) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(ring.total_events(), 4u * 2000u);
+  EXPECT_EQ(tel.events_total(), 4u * 2000u);
+  EXPECT_EQ(tel.events().size(), 4u * 2000u);
+  EXPECT_EQ(tel.events_evicted(), 0u);
 }
 
 TEST(ObsConcurrency, ParallelForWorkersShareOneCounter) {

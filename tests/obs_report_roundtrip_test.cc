@@ -1,7 +1,7 @@
 // Round-trip check for the run-report JSONL writer (obs/report.h): build
-// a populated Telemetry + trace, serialize with write_run_report, parse
-// every line back with core::Json and verify the schema contract the
-// Python validator and mntp-inspect both rely on.
+// a populated Telemetry with event capture on, serialize with
+// write_run_report, parse every line back with core::Json and verify the
+// schema contract `mntp-inspect validate` relies on.
 #include "obs/report.h"
 
 #include <gtest/gtest.h>
@@ -33,10 +33,9 @@ std::vector<core::Json> parse_lines(const std::string& text) {
 
 struct ReportFixture {
   Telemetry telemetry;
-  RingBufferSink trace;
 
   ReportFixture() {
-    telemetry.add_sink(&trace);
+    telemetry.capture_events(1 << 16);
     telemetry.metrics().counter("test.requests")->inc(7);
     telemetry.metrics().gauge("test.depth", {{"queue", "main"}})->set(3.5);
     Histogram* h = telemetry.metrics().histogram("test.latency_ms");
@@ -51,7 +50,7 @@ struct ReportFixture {
 
   [[nodiscard]] std::vector<core::Json> write() const {
     std::ostringstream out;
-    write_run_report(out, telemetry, &trace,
+    write_run_report(out, telemetry,
                      ReportOptions{.run_name = "roundtrip",
                                    .sim_end = core::TimePoint::from_ns(9'000)});
     return parse_lines(out.str());
@@ -182,11 +181,12 @@ TEST(ReportRoundtrip, ProfilerExportAppearsAsSpanGauges) {
   EXPECT_TRUE(saw_count);
 }
 
-TEST(ReportRoundtrip, WithoutTraceSinkReportHasNoEventLines) {
+TEST(ReportRoundtrip, WithoutCaptureReportHasNoEventLines) {
   Telemetry telemetry;
   telemetry.metrics().counter("test.only")->inc();
+  telemetry.event(core::TimePoint::from_ns(1), "test", "uncaptured");
   std::ostringstream out;
-  write_run_report(out, telemetry, nullptr, ReportOptions{});
+  write_run_report(out, telemetry, ReportOptions{});
   const auto lines = parse_lines(out.str());
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines[0]["event_count"].as_int(), 0);

@@ -56,56 +56,56 @@ TEST(JsonlLine, EmptyFieldsAndNonFiniteNumbers) {
   EXPECT_NE(to_jsonl_line(inf_event).find("\"v\":null"), std::string::npos);
 }
 
-TEST(RingBufferSink, EvictsOldestKeepsTotals) {
-  RingBufferSink sink(3);
-  for (std::int64_t i = 0; i < 5; ++i) sink.on_event(make_event(i));
-  EXPECT_EQ(sink.total_events(), 5u);
-  EXPECT_EQ(sink.evicted(), 2u);
-  ASSERT_EQ(sink.events().size(), 3u);
+TEST(Telemetry, EventRingEvictsOldestKeepsTotals) {
+  Telemetry tel;
+  tel.capture_events(3);
+  for (std::int64_t i = 0; i < 5; ++i) tel.emit(make_event(i));
+  EXPECT_EQ(tel.events_total(), 5u);
+  EXPECT_EQ(tel.events_evicted(), 2u);
+  ASSERT_EQ(tel.events().size(), 3u);
   // Oldest first, events 0 and 1 evicted.
-  EXPECT_EQ(sink.events()[0].t.ns(), 2);
-  EXPECT_EQ(sink.events()[2].t.ns(), 4);
-  sink.clear();
-  EXPECT_EQ(sink.total_events(), 0u);
-  EXPECT_EQ(sink.events().size(), 0u);
+  EXPECT_EQ(tel.events()[0].t.ns(), 2);
+  EXPECT_EQ(tel.events()[2].t.ns(), 4);
+  // Switching capture on again restarts it with an empty ring.
+  tel.capture_events(3);
+  EXPECT_EQ(tel.events_total(), 0u);
+  EXPECT_EQ(tel.events().size(), 0u);
 }
 
-TEST(Telemetry, TracingReflectsSinks) {
+TEST(Telemetry, NoEventRingBeforeCapture) {
   Telemetry tel;
   EXPECT_FALSE(tel.tracing());
-  RingBufferSink sink;
-  tel.add_sink(&sink);
+  tel.event(TimePoint::from_ns(7), "cat", "dropped");
+  EXPECT_TRUE(tel.events().empty());
+  EXPECT_EQ(tel.events().capacity(), 0u);
+  EXPECT_EQ(tel.events_total(), 0u);
+  std::ostringstream out;
+  write_run_report(out, tel, ReportOptions{});
+  EXPECT_NE(out.str().find("\"event_count\":0"), std::string::npos);
+  EXPECT_EQ(out.str().find("\"type\":\"event\""), std::string::npos);
+
+  tel.capture_events(4);
   EXPECT_TRUE(tel.tracing());
-  tel.remove_sink(&sink);
-  EXPECT_FALSE(tel.tracing());
-}
-
-TEST(Telemetry, EventFansOutToEverySink) {
-  Telemetry tel;
-  RingBufferSink a, b;
-  tel.add_sink(&a);
-  tel.add_sink(&b);
+  EXPECT_EQ(tel.events().capacity(), 4u);
   tel.event(TimePoint::from_ns(7), "cat", "name", {{"k", std::int64_t{1}}});
-  ASSERT_EQ(a.events().size(), 1u);
-  ASSERT_EQ(b.events().size(), 1u);
-  EXPECT_EQ(a.events()[0].category, "cat");
-  EXPECT_EQ(a.events()[0].fields[0].key, "k");
+  ASSERT_EQ(tel.events().size(), 1u);
+  EXPECT_EQ(tel.events()[0].category, "cat");
+  EXPECT_EQ(tel.events()[0].fields[0].key, "k");
 }
 
 TEST(Telemetry, DisabledDropsEvents) {
   Telemetry tel;
-  RingBufferSink sink;
-  tel.add_sink(&sink);
+  tel.capture_events(4);
   tel.set_enabled(false);
   tel.event(TimePoint::from_ns(1), "cat", "dropped");
-  EXPECT_EQ(sink.events().size(), 0u);
+  EXPECT_EQ(tel.events().size(), 0u);
   // Metric records are disabled by the same switch.
   Counter* c = tel.metrics().counter("c");
   c->inc();
   EXPECT_EQ(c->value(), 0u);
   tel.set_enabled(true);
   tel.event(TimePoint::from_ns(2), "cat", "kept");
-  EXPECT_EQ(sink.events().size(), 1u);
+  EXPECT_EQ(tel.events().size(), 1u);
 }
 
 TEST(ScopedTelemetry, SwapsAndRestoresGlobal) {
@@ -126,8 +126,7 @@ TEST(ScopedTelemetry, SwapsAndRestoresGlobal) {
 
 TEST(RunReport, MetaCountsMatchBody) {
   Telemetry tel;
-  RingBufferSink trace;
-  tel.add_sink(&trace);
+  tel.capture_events(4);
   tel.metrics().counter("a")->inc(5);
   tel.metrics().gauge("b")->set(1.0);
   tel.metrics().histogram("c")->record(3.0);
@@ -135,7 +134,7 @@ TEST(RunReport, MetaCountsMatchBody) {
   tel.event(TimePoint::from_ns(20), "test", "second");
 
   std::ostringstream out;
-  write_run_report(out, tel, &trace,
+  write_run_report(out, tel,
                    ReportOptions{.run_name = "unit",
                                  .sim_end = TimePoint::from_ns(99)});
   std::istringstream in(out.str());
@@ -165,7 +164,7 @@ TEST(RunReport, HistogramLineHasBucketsWithInfTail) {
   h->record(0.5);   // zero bucket, le = min_magnitude
   h->record(99.0);  // [96, 128)
   std::ostringstream out;
-  write_run_report(out, tel, nullptr, ReportOptions{});
+  write_run_report(out, tel, ReportOptions{});
   const std::string text = out.str();
   EXPECT_NE(text.find("\"buckets\":[{\"le\":1,\"count\":1},"
                       "{\"le\":128,\"count\":1},{\"le\":\"inf\",\"count\":0}]"),
@@ -174,15 +173,14 @@ TEST(RunReport, HistogramLineHasBucketsWithInfTail) {
 
 TEST(RunReport, EventsKeepSimTimeOrder) {
   Telemetry tel;
-  RingBufferSink trace(4);
-  tel.add_sink(&trace);
+  tel.capture_events(4);
   // Monotone emission (the simulation dispatches in timestamp order);
   // overflow evicts from the front, preserving order.
   for (std::int64_t t = 0; t < 10; ++t) {
     tel.event(TimePoint::from_ns(t), "test", "tick");
   }
   std::ostringstream out;
-  write_run_report(out, tel, &trace, ReportOptions{});
+  write_run_report(out, tel, ReportOptions{});
   std::istringstream in(out.str());
   std::string line;
   std::int64_t last = -1;

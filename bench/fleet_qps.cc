@@ -3,8 +3,9 @@
 //
 // Reproduces the server's-eye view of the paper's §3.1 measurement
 // study from simulated traffic instead of parsed logs: per-server
-// request totals (Table 1 shape), per-provider-category OWD quantiles
-// (Figure 1 shape), the SNTP share by category (Figure 2 shape), and
+// request totals (Table 1 shape), per-provider-category per-query OWD
+// quantiles (Figure 1 ordering; Figure 1 itself plots per-client
+// minimum OWD), the SNTP share by category (Figure 2 shape), and
 // the per-(speaker, population) OWD split — while measuring the fleet
 // simulator's sustained simulated-queries/sec/core, the number the
 // bench gate tracks via the perf_suite `fleet_qps` workload.
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
                 table.render().c_str());
   }
 
-  // --- Figure 1 shape: per-category OWD quantiles ------------------------
+  // --- Figure 1 ordering: per-category per-query OWD quantiles -----------
   {
     core::TextTable table(
         {"category", "count", "p50_ms", "p90_ms", "p99_ms"});
@@ -100,7 +101,8 @@ int main(int argc, char** argv) {
            core::fmt_double(h.quantile(0.9), 1),
            core::fmt_double(h.quantile(0.99), 1)});
     }
-    std::printf("Measured OWD by provider category (Figure 1 shape):\n%s\n",
+    std::printf("Per-query OWD by provider category (Figure 1 ordering):\n"
+                "%s\n",
                 table.render().c_str());
   }
 
@@ -204,8 +206,8 @@ int main(int argc, char** argv) {
   const double mobile_p50 = result.owd.by_category[3].quantile(0.5);
   checks.expect(cloud_p50 < isp_p50 && isp_p50 < broadband_p50 &&
                     broadband_p50 < mobile_p50,
-                "OWD ordering: cloud < isp < broadband < mobile medians "
-                "(Figure 1)");
+                "per-query OWD ordering: cloud < isp < broadband < mobile "
+                "medians (Figure 1 ordering)");
   checks.expect(result.owd.invalid > 0,
                 "filter: unsynchronized clients produce invalid OWDs");
   checks.expect(result.cache_hits > result.cache_misses,

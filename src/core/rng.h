@@ -214,6 +214,12 @@ class SmallRng {
     return mean + stddev * u * m;
   }
 
+  /// Log-normal parameterized by the mean/stddev of the underlying
+  /// normal; one normal() draw.
+  [[nodiscard]] double lognormal(double mu, double sigma) {
+    return std::exp(normal(mu, sigma));
+  }
+
   /// Pareto with the same tail clamp as Rng::pareto (kParetoMinU floor).
   [[nodiscard]] double pareto(double xm, double alpha) {
     const double u = std::max(canonical(), Rng::kParetoMinU);

@@ -1,10 +1,9 @@
 #include "fleet/client_fleet.h"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
-#include <span>
 #include <stdexcept>
+
+#include "logs/population.h"
 
 namespace mntp::fleet {
 
@@ -15,43 +14,6 @@ namespace {
 // the client/server halves). Keeping the three roots disjoint means a
 // client id can never collide with a server index in seed space.
 constexpr std::uint64_t kBuildStream = 2;
-
-/// Cumulative Table-1 unique-client weights for the home-server pick.
-std::array<double, logs::kPaperServers.size()> server_cumulative() {
-  std::array<double, logs::kPaperServers.size()> cum{};
-  double total = 0.0;
-  for (std::size_t i = 0; i < logs::kPaperServers.size(); ++i) {
-    total += static_cast<double>(logs::kPaperServers[i].unique_clients);
-    cum[i] = total;
-  }
-  return cum;
-}
-
-/// Provider weights for one server class. ISP-internal servers serve
-/// mostly infrastructure (routers): non-ISP providers are downweighted
-/// x0.05, the same bias logs::generate applies.
-std::array<double, logs::kPaperProviders.size()> provider_cumulative(
-    bool isp_internal) {
-  std::array<double, logs::kPaperProviders.size()> cum{};
-  double total = 0.0;
-  for (std::size_t i = 0; i < logs::kPaperProviders.size(); ++i) {
-    double w = logs::kPaperProviders[i].client_weight;
-    if (isp_internal &&
-        logs::kPaperProviders[i].category != logs::ProviderCategory::kIsp) {
-      w *= 0.05;
-    }
-    total += w;
-    cum[i] = total;
-  }
-  return cum;
-}
-
-std::size_t pick_cumulative(std::span<const double> cum, double u) {
-  const double x = u * cum.back();
-  const auto it = std::upper_bound(cum.begin(), cum.end(), x);
-  return std::min(static_cast<std::size_t>(it - cum.begin()),
-                  cum.size() - 1);
-}
 
 constexpr std::uint64_t kNsPerSec = 1'000'000'000ULL;
 
@@ -80,65 +42,48 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
   // polar method's pair structure); the serial pass below overwrites the
   // entries that are not plain Gaussians (unsynchronized clock errors).
   std::vector<double> scratch(n);
-  rng.fill_normal(scratch, 0.0, params.clock_offset_sigma_ms);
+  rng.fill_normal(scratch, 0.0, logs::kClockOffsetSigmaMs);
   for (std::size_t i = 0; i < n; ++i) {
     fleet.clock_err_ms_[i] = static_cast<float>(scratch[i]);
   }
-  rng.fill_normal(scratch, 0.0, params.skew_sigma_ppm);
+  rng.fill_normal(scratch, 0.0, logs::kSkewSigmaPpm);
   for (std::size_t i = 0; i < n; ++i) {
     fleet.skew_ppm_[i] = static_cast<float>(scratch[i]);
   }
-  rng.fill_normal(scratch, params.snr_mean_db, params.snr_sigma_db);
+  rng.fill_normal(scratch, kSnrMeanDb, kSnrSigmaDb);
   for (std::size_t i = 0; i < n; ++i) {
     fleet.snr_mean_db_[i] = static_cast<float>(scratch[i]);
   }
 
-  const auto server_cum = server_cumulative();
-  const auto provider_cum_public = provider_cumulative(false);
-  const auto provider_cum_internal = provider_cumulative(true);
-
   for (std::size_t i = 0; i < n; ++i) {
     // Home server weighted by Table-1 unique-client counts.
-    const std::size_t s = pick_cumulative(server_cum, rng.uniform(0.0, 1.0));
+    const std::size_t s = logs::kServerPick(rng);
     const logs::ServerSpec& server = logs::kPaperServers[s];
     fleet.server_[i] = static_cast<std::uint16_t>(s);
 
     // Provider, then the provider-derived traits.
-    const std::size_t p = pick_cumulative(
-        server.isp_internal ? provider_cum_internal : provider_cum_public,
-        rng.uniform(0.0, 1.0));
+    const std::size_t p = logs::pick_provider(rng, server);
     const logs::ProviderSpec& provider = logs::kPaperProviders[p];
     fleet.provider_[i] = static_cast<std::uint8_t>(p);
 
     std::uint8_t traits = 0;
-    double sntp_p = provider.sntp_fraction;
-    if (server.isp_internal) sntp_p *= 0.25;
-    if (rng.bernoulli(sntp_p)) traits |= ClientTraits::kSntp;
+    if (rng.bernoulli(logs::sntp_probability(server, provider))) {
+      traits |= ClientTraits::kSntp;
+    }
     const bool mobile =
         provider.category == logs::ProviderCategory::kMobile;
-    if (mobile || rng.bernoulli(params.wireless_fraction)) {
+    if (mobile || rng.bernoulli(logs::kWirelessFraction)) {
       traits |= ClientTraits::kWireless;
     }
 
-    // Base (minimum) OWD from the provider's min-OWD distribution, the
-    // same shapes logs::generate draws: lognormal around the median for
-    // fixed-line providers, wide uniform for mobile. Clamped like the
-    // log generator so no provider escapes its category band.
-    double base_ms;
-    if (mobile) {
-      base_ms = rng.uniform(0.35 * provider.min_owd_median_ms,
-                            1.75 * provider.min_owd_median_ms);
-    } else {
-      base_ms = rng.lognormal(std::log(provider.min_owd_median_ms),
-                              provider.min_owd_sigma);
-    }
-    base_ms = std::clamp(base_ms, 1.0, 997.0);
-    fleet.base_owd_ms_[i] = static_cast<float>(base_ms);
+    // Base (minimum) OWD from the provider's min-OWD distribution.
+    fleet.base_owd_ms_[i] =
+        static_cast<float>(logs::base_owd_ms(rng, provider));
 
-    if (rng.bernoulli(params.unsynchronized_fraction)) {
+    if (rng.bernoulli(logs::kUnsynchronizedFraction)) {
       traits |= ClientTraits::kUnsynchronized;
-      const double mag_ms = 1'000.0 * rng.uniform(params.unsync_offset_min_s,
-                                                  params.unsync_offset_max_s);
+      const double mag_ms = 1'000.0 * rng.uniform(logs::kUnsyncOffsetMinS,
+                                                  logs::kUnsyncOffsetMaxS);
       fleet.clock_err_ms_[i] =
           static_cast<float>(rng.bernoulli(0.5) ? mag_ms : -mag_ms);
     }
@@ -148,10 +93,10 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
     // fleet is phase-desynchronized from slice 0.
     double interval_s;
     if ((traits & ClientTraits::kSntp) != 0) {
-      interval_s = rng.uniform(params.sntp_poll_min_s, params.sntp_poll_max_s);
+      interval_s = rng.uniform(logs::kSntpPollMinS, logs::kSntpPollMaxS);
     } else {
-      const auto k = rng.uniform_int(params.ntp_poll_min_log2,
-                                     params.ntp_poll_max_log2);
+      const auto k =
+          rng.uniform_int(logs::kNtpPollMinLog2, logs::kNtpPollMaxLog2);
       interval_s = std::ldexp(1.0, static_cast<int>(k));
     }
     const auto interval_ns =

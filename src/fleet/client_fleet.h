@@ -9,12 +9,13 @@
 // shadowing) lives in Simulator, so one fleet can be shared read-only
 // across runs, threads and bench reps.
 //
-// The population mirrors logs::generate's calibration against the
-// paper's Table 1 / Figures 1-2 (src/logs/spec.h): clients pick a home
-// server weighted by Table-1 unique-client counts, a provider weighted
-// by the Figure-1 structure (ISP-internal servers biased toward
-// infrastructure NTP speakers), an SNTP/NTP speaker per the provider's
-// SNTP share, and a base OWD from the provider's min-OWD distribution.
+// The build calls the §3.1 population kernel (src/logs/population.h)
+// that logs::LogGenerator also calls, calibrated against the paper's
+// Table 1 / Figures 1-2 (src/logs/spec.h): clients pick a home server
+// weighted by Table-1 unique-client counts, a provider weighted by the
+// Figure-1 structure (ISP-internal servers biased toward infrastructure
+// NTP speakers), an SNTP/NTP speaker per the provider's SNTP share, and
+// a base OWD from the provider's min-OWD distribution.
 #pragma once
 
 #include <cstdint>

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "logs/population.h"
+
 namespace mntp::fleet {
 
 /// Protocol the client speaks (the paper's SNTP-vs-full-NTP split of
@@ -41,34 +43,13 @@ enum class Population : std::uint8_t { kWired = 0, kWireless = 1 };
   return p == Population::kWired ? "wired" : "wireless";
 }
 
+/// The fleet's settable configuration. The population it simulates is
+/// the §3.1 kernel's (logs/population.h) and the last hop the MAC
+/// kernel's (net/mac.h); the server-side constants are below.
 struct FleetParams {
   // --- Population ------------------------------------------------------
   std::uint64_t clients = 100'000;
   std::uint64_t seed = 1;
-  /// Fraction of clients whose clock is wildly unsynchronized (their
-  /// measured OWDs fall outside the validity window and are filtered,
-  /// mirroring the Durairajan heuristic logs::generate models).
-  double unsynchronized_fraction = 0.06;
-  /// Synchronized clients: clock offset ~ N(0, sigma) ms, skew ~ N(0,
-  /// sigma) ppm. Unsynchronized: |offset| uniform in [min,max] seconds.
-  double clock_offset_sigma_ms = 20.0;
-  double skew_sigma_ppm = 20.0;
-  double unsync_offset_min_s = 30.0;
-  double unsync_offset_max_s = 300.0;
-  /// Non-mobile clients are wireless with this probability (mobile
-  /// provider clients are always wireless).
-  double wireless_fraction = 0.22;
-
-  // --- Polling ---------------------------------------------------------
-  /// SNTP speakers poll at a fixed per-client interval drawn uniformly
-  /// from [min,max] s (the paper's SNTP stacks poll on app-defined
-  /// timers, not NTP's adaptive schedule).
-  double sntp_poll_min_s = 16.0;
-  double sntp_poll_max_s = 112.0;
-  /// NTP speakers poll at 2^k s, k uniform in [min,max] (RFC 5905 poll
-  /// exponent range 6..10).
-  int ntp_poll_min_log2 = 6;
-  int ntp_poll_max_log2 = 10;
 
   // --- Time slicing ----------------------------------------------------
   double duration_s = 60.0;
@@ -80,44 +61,34 @@ struct FleetParams {
   // --- Server side -----------------------------------------------------
   /// Kiss-of-death rate limit: per server, requests beyond this count in
   /// one slice get a KoD instead of time; the client backs its poll
-  /// interval off by `kod_backoff_factor`, capped at `kod_backoff_cap_s`.
+  /// interval off by kKodBackoffFactor, capped at kKodBackoffCapS.
   std::uint64_t kod_limit_per_slice = 1'500;
-  double kod_backoff_factor = 4.0;
-  double kod_backoff_cap_s = 2'048.0;
   /// Response cache: a server computes its transmit-timestamp error once
   /// per time bucket and serves every request in the bucket from cache.
   double cache_bucket_ms = 250.0;
   /// Request batching: arrivals within one window are processed as one
   /// batch (fleet.server.batches counts windows, not requests).
   double batch_window_ms = 10.0;
-  /// Server clock error stddev (the per-bucket cached value), ms.
-  double server_err_sigma_ms = 2.0;
-
-  // --- Channel ---------------------------------------------------------
-  // Sampled per query by the net/mac.h kernel WirelessChannel shares:
-  // one exact OU shadowing transition across the idle gap, then the
-  // logistic MAC retry loop.
-  /// Mean SNR margin and its per-client spread (dB); per-query SNR adds
-  /// the OU shadowing state.
-  double snr_mean_db = 12.0;
-  double snr_sigma_db = 3.0;
-  double snr50_db = 8.0;
-  double snr_slope_db = 2.2;
-  double shadowing_sigma_db = 2.5;
-  double shadowing_tau_s = 25.0;
-  int max_retries = 6;
-  double retry_backoff_ms = 5.0;
-  /// Fixed-line last hop: plain Bernoulli loss, no retry delay.
-  double wired_loss = 0.002;
-  /// Per-sample OWD jitter: base * Pareto(1, shape); heavier tail for
-  /// mobile-provider clients (logs::generate uses the same split).
-  double pareto_shape_mobile = 2.2;
-  double pareto_shape_fixed = 4.0;
-  double owd_cap_ms = 3'000.0;
 
   // --- Measured-OWD validity window (§3.1 filter) ----------------------
-  double owd_valid_min_ms = 0.0;
-  double owd_valid_max_ms = 3'000.0;
+  /// Measured OWDs outside [min, max] are the unsynchronized clients'
+  /// and count as invalid; the upper edge is the OWD cap.
+  static constexpr double owd_valid_min_ms = 0.0;
+  static constexpr double owd_valid_max_ms = logs::kOwdCapMs;
 };
+
+// --- Fixed model constants -----------------------------------------------
+/// A KoD multiplies the client's poll interval by this factor, up to the
+/// cap (RFC 5905 backoff; the cap also sizes the calendar wheel).
+inline constexpr double kKodBackoffFactor = 4.0;
+inline constexpr double kKodBackoffCapS = 2'048.0;
+/// Server clock error stddev (the per-bucket cached value), ms.
+inline constexpr double kServerErrSigmaMs = 2.0;
+/// Fixed-line last hop: plain Bernoulli loss, no retry delay.
+inline constexpr double kWiredLoss = 0.002;
+/// Wireless clients' mean SNR margin and its per-client spread (dB);
+/// per-query SNR adds the OU shadowing state.
+inline constexpr double kSnrMeanDb = 12.0;
+inline constexpr double kSnrSigmaDb = 3.0;
 
 }  // namespace mntp::fleet

@@ -33,6 +33,7 @@ std::string render_fleet_report(const FleetParams& params,
   w.key("params").begin_object();
   w.kv("clients", params.clients);
   w.key("duration_s").value_fixed(params.duration_s, 3);
+  w.key("slice_s").value_fixed(params.slice_s, 3);
   w.kv("shards", static_cast<std::uint64_t>(params.shards));
   w.kv("seed", params.seed);
   w.kv("kod_limit_per_slice", params.kod_limit_per_slice);

@@ -16,6 +16,7 @@ namespace mntp::fleet {
 namespace {
 constexpr std::uint64_t kServerStream = 1;  // see client_fleet.cc seed map
 constexpr double kNsPerMs = 1e6;
+constexpr auto kKodCapNs = static_cast<std::uint64_t>(kKodBackoffCapS * 1e9);
 
 /// The canonical rank rule: arrival time, then client id.
 bool canonical_less(const ArrivalRecord& a, const ArrivalRecord& b) {
@@ -54,13 +55,10 @@ struct CachedError {
 ServerFleet::ServerFleet(const FleetParams& params, std::size_t servers)
     : seed_root_(core::derive_stream_seed(params.seed, kServerStream)),
       kod_limit_(params.kod_limit_per_slice),
-      kod_backoff_factor_(params.kod_backoff_factor),
-      kod_cap_ns_(static_cast<std::uint64_t>(params.kod_backoff_cap_s * 1e9)),
       cache_bucket_ns_(
           static_cast<std::uint64_t>(params.cache_bucket_ms * kNsPerMs)),
       batch_window_ns_(
           static_cast<std::uint64_t>(params.batch_window_ms * kNsPerMs)),
-      server_err_sigma_ms_(params.server_err_sigma_ms),
       state_(servers) {
   obs::MetricsRegistry& m = obs::Telemetry::global().metrics();
   requests_counter_.reserve(servers);
@@ -140,7 +138,7 @@ void ServerFleet::process_slice(std::size_t server,
     CachedError& c = memo[(bucket - bucket_lo) % memo.size()];
     if (c.bucket != bucket) {
       core::SmallRng rng(core::derive_stream_seed(server_seed, bucket));
-      c = {bucket, rng.normal(0.0, server_err_sigma_ms_)};
+      c = {bucket, rng.normal(0.0, kServerErrSigmaMs)};
     }
     owd.record(server, fleet.speaker(a.client), fleet.population(a.client),
                fleet.category(a.client), a.partial_ms + c.err_ms);
@@ -155,7 +153,7 @@ void ServerFleet::process_slice(std::size_t server,
     const ArrivalRecord& a = arrivals[k];
     set_bit(batch_bits, a.arrive_ns / batch_window_ns_ - batch_lo);
     interval_ns[a.client] = ntp::kod_backoff_interval_ns(
-        interval_ns[a.client], kod_backoff_factor_, kod_cap_ns_);
+        interval_ns[a.client], kKodBackoffFactor, kKodCapNs);
   }
 
   // In canonical order, windows (and the served arrivals' buckets) never

@@ -104,11 +104,8 @@ class ServerFleet {
 
   std::uint64_t seed_root_;  // server stream root of the fleet seed
   std::uint64_t kod_limit_;
-  double kod_backoff_factor_;
-  std::uint64_t kod_cap_ns_;
   std::uint64_t cache_bucket_ns_;
   std::uint64_t batch_window_ns_;
-  double server_err_sigma_ms_;
   std::vector<State> state_;
   std::vector<obs::Counter*> requests_counter_;  // per server
   obs::Counter* kod_counter_;

@@ -8,6 +8,7 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "logs/population.h"
 #include "net/mac.h"
 #include "obs/metric_names.h"
 #include "obs/telemetry.h"
@@ -52,9 +53,8 @@ Simulator::Simulator(std::shared_ptr<const ClientFleet> fleet,
   if (params_.shards == 0) {
     throw std::invalid_argument("Simulator: shards must be > 0");
   }
-  const double min_poll_s =
-      std::min(params_.sntp_poll_min_s,
-               std::ldexp(1.0, params_.ntp_poll_min_log2));
+  const double min_poll_s = std::min(
+      logs::kSntpPollMinS, std::ldexp(1.0, logs::kNtpPollMinLog2));
   if (params_.slice_s <= 0.0 || params_.slice_s >= min_poll_s) {
     // The at-most-one-query-per-client-per-slice invariant (and with it
     // the collision-free calendar wheel) needs slice < min poll.
@@ -84,7 +84,7 @@ FleetResult Simulator::run(std::size_t threads) {
   // slice) mod H is collision-free — every id drained at slice t polls
   // exactly in slice t.
   const std::uint64_t wheel_h =
-      static_cast<std::uint64_t>(params_.kod_backoff_cap_s / params_.slice_s) +
+      static_cast<std::uint64_t>(kKodBackoffCapS / params_.slice_s) +
       2;
 
   // Per-run mutable client state, copied so runs are independent.
@@ -114,15 +114,13 @@ FleetResult Simulator::run(std::size_t threads) {
   std::vector<std::uint64_t> shard_queries(shards, 0);
   std::vector<std::uint64_t> shard_dropped(shards, 0);
 
-  OwdCollector owd(servers, params_.owd_valid_min_ms,
-                   params_.owd_valid_max_ms);
+  OwdCollector owd(servers, FleetParams::owd_valid_min_ms,
+                   FleetParams::owd_valid_max_ms);
   ServerFleet server_fleet(params_, servers);
   std::vector<std::vector<ArrivalRecord>> gather(servers);
 
   const std::uint64_t client_root =
       core::derive_stream_seed(params_.seed, kClientStream);
-  const double mobile_shape = params_.pareto_shape_mobile;
-  const double fixed_shape = params_.pareto_shape_fixed;
   // The immutable fleet columns as raw pointers: the loop's push_backs
   // store pointers, so through the accessors the compiler would reload
   // every column's data pointer on each use (~7% of the 1-thread run).
@@ -178,30 +176,27 @@ FleetResult Simulator::run(std::size_t threads) {
           const double gap_s =
               static_cast<double>(poll_ns - last_adv_ns[id]) / kNsPerSec;
           const double sh_db = net::ou_exact_step(
-              shadow_db[id], gap_s, params_.shadowing_tau_s,
-              params_.shadowing_sigma_db, q.normal(0.0, 1.0));
+              shadow_db[id], gap_s, net::kShadowingTauS,
+              net::kShadowingSigmaDb, q.normal(0.0, 1.0));
           shadow_db[id] = sh_db;
           last_adv_ns[id] = poll_ns;
 
           const double p_fail = net::snr_failure_probability(
-              col_snr_mean_db[id] + sh_db, params_.snr50_db,
-              params_.snr_slope_db);
+              col_snr_mean_db[id] + sh_db, net::kSnr50Db, net::kSnrSlopeDb);
           const net::MacOutcome mac = net::mac_attempts(
-              q, p_fail, params_.max_retries, params_.retry_backoff_ms);
+              q, p_fail, net::kMaxRetries, net::kRetryBackoffMs);
           delivered = mac.delivered;
           backoff_ms = mac.backoff;
         } else {
-          delivered = !q.bernoulli(params_.wired_loss);
+          delivered = !q.bernoulli(kWiredLoss);
         }
 
         if (delivered) {
           const bool mobile = fleet.category(id) ==
                               logs::ProviderCategory::kMobile;
-          double owd_ms =
-              static_cast<double>(col_base_owd_ms[id]) *
-                  q.pareto(1.0, mobile ? mobile_shape : fixed_shape) +
-              backoff_ms;
-          owd_ms = std::min(owd_ms, params_.owd_cap_ms);
+          const double owd_ms = logs::inflate_owd_ms(
+              q, static_cast<double>(col_base_owd_ms[id]), mobile,
+              backoff_ms);
           const double poll_s = static_cast<double>(poll_ns) / kNsPerSec;
           const double client_err_ms =
               static_cast<double>(col_clock_err_ms[id]) +

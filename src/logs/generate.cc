@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/ntp_timestamp.h"
+#include "logs/population.h"
 #include "obs/metric_names.h"
 #include "obs/profiler.h"
 
@@ -12,48 +13,21 @@ namespace mntp::logs {
 LogGenerator::LogGenerator(GeneratorParams params, core::Rng rng)
     : params_(params), rng_(std::move(rng)) {}
 
-std::size_t LogGenerator::pick_provider(const ServerSpec& server) {
-  // ISP-internal servers serve their own infrastructure: bias towards
-  // ISP-category providers. Public servers draw from the full weighted
-  // provider mix.
-  double total = 0.0;
-  for (const ProviderSpec& p : kPaperProviders) {
-    total += server.isp_internal && p.category != ProviderCategory::kIsp
-                 ? p.client_weight * 0.05
-                 : p.client_weight;
-  }
-  double draw = rng_.uniform(0.0, total);
-  for (std::size_t i = 0; i < kPaperProviders.size(); ++i) {
-    const ProviderSpec& p = kPaperProviders[i];
-    const double w = server.isp_internal && p.category != ProviderCategory::kIsp
-                         ? p.client_weight * 0.05
-                         : p.client_weight;
-    if (draw < w) return i;
-    draw -= w;
-  }
-  return kPaperProviders.size() - 1;
-}
-
 ClientRecord LogGenerator::make_client(const ServerSpec& server,
                                        std::uint64_t id,
                                        double requests_per_client) {
   ClientRecord c;
   c.client_id = id;
-  c.provider_index = pick_provider(server);
+  c.provider_index = pick_provider(rng_, server);
   const ProviderSpec& provider = kPaperProviders[c.provider_index];
   c.hostname = "host" + std::to_string(id) + "." +
                std::string(provider.keyword) + ".example.org";
 
-  // Protocol: a client is SNTP with the provider's probability. The
+  // Protocol: a client is SNTP with the kernel's probability. The
   // *packet* carries the classification: SNTP requests zero everything
   // but the first octet + transmit time; NTP requests populate poll,
   // precision and origin.
-  // ISP-internal servers mostly serve the operator's own infrastructure
-  // (routers running ntpd), so their protocol mix is NTP-heavy regardless
-  // of the provider's consumer-population SNTP share.
-  const double sntp_fraction =
-      server.isp_internal ? provider.sntp_fraction * 0.25 : provider.sntp_fraction;
-  const bool sntp = rng_.bernoulli(sntp_fraction);
+  const bool sntp = rng_.bernoulli(sntp_probability(server, provider));
   const auto xmt = core::NtpTimestamp::from_parts(
       static_cast<std::uint32_t>(core::kSimEpochNtpSeconds +
                                  rng_.uniform_int(0, 86'400)),
@@ -61,7 +35,9 @@ ClientRecord LogGenerator::make_client(const ServerSpec& server,
   ntp::NtpPacket req =
       sntp ? ntp::NtpPacket::make_sntp_request(xmt)
            : ntp::NtpPacket::make_ntp_request(
-                 xmt, static_cast<std::int8_t>(rng_.uniform_int(6, 10)),
+                 xmt,
+                 static_cast<std::int8_t>(
+                     rng_.uniform_int(kNtpPollMinLog2, kNtpPollMaxLog2)),
                  core::NtpTimestamp::from_parts(1, 1));
   req.serialize(c.request_wire);
 
@@ -71,34 +47,21 @@ ClientRecord LogGenerator::make_client(const ServerSpec& server,
   c.request_count = static_cast<std::uint32_t>(
       std::max(1.0, rng_.lognormal(std::log(lam) - 0.5, 1.0)));
 
-  // Per-client minimum OWD structure (Fig 1): lognormal around the
-  // provider median for fixed-line categories; wide near-uniform spread
-  // for mobile providers (their CDF is the paper's "linear trend").
-  double base_ms;
-  if (provider.category == ProviderCategory::kMobile) {
-    base_ms = rng_.uniform(0.35 * provider.min_owd_median_ms,
-                           1.75 * provider.min_owd_median_ms);
-  } else {
-    base_ms = rng_.lognormal(std::log(provider.min_owd_median_ms),
-                             provider.min_owd_sigma);
-  }
-  base_ms = std::clamp(base_ms, 1.0, 997.0);  // observed OWD range (§1)
+  // Per-client minimum OWD (Fig 1), from the provider's distribution.
+  const double base_ms = base_owd_ms(rng_, provider);
 
+  const bool mobile = provider.category == ProviderCategory::kMobile;
   const std::size_t samples = std::min<std::size_t>(
-      params_.max_owd_samples, std::max<std::uint32_t>(1, c.request_count));
+      kMaxOwdSamples, std::max<std::uint32_t>(1, c.request_count));
   c.owd_samples_ms.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
-    if (rng_.bernoulli(params_.unsynchronized_fraction)) {
+    if (rng_.bernoulli(kUnsynchronizedFraction)) {
       // Unsynchronized probe: OWD meaningless; mark invalid.
       c.owd_samples_ms.push_back(-1.0F);
       continue;
     }
-    const double jitter_factor =
-        provider.category == ProviderCategory::kMobile
-            ? rng_.pareto(1.0, 2.2)   // bursty cellular queueing
-            : rng_.pareto(1.0, 4.0);  // light wireline inflation
     c.owd_samples_ms.push_back(
-        static_cast<float>(std::min(base_ms * jitter_factor, 3000.0)));
+        static_cast<float>(inflate_owd_ms(rng_, base_ms, mobile, 0.0)));
   }
   return c;
 }

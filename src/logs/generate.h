@@ -49,16 +49,17 @@ struct GeneratorParams {
   /// Client-count downscale: generated clients = Table-1 clients * scale
   /// (at least 1 per server).
   double scale = 1.0 / 2000.0;
-  /// Cap on stored OWD samples per client (requests beyond the cap are
-  /// counted but not sampled).
-  std::size_t max_owd_samples = 24;
-  /// Fraction of requests arriving with an unsynchronized client clock
-  /// (filtered by the Durairajan heuristic).
-  double unsynchronized_fraction = 0.06;
 };
 
+/// Draws each client from the §3.1 population kernel (logs/population.h)
+/// in one fixed order: provider, speaker, transmit time, request volume,
+/// base OWD, then per sampled request its synchronized flag and OWD.
 class LogGenerator {
  public:
+  /// Cap on stored OWD samples per client (requests beyond the cap are
+  /// counted but not sampled).
+  static constexpr std::size_t kMaxOwdSamples = 24;
+
   LogGenerator(GeneratorParams params, core::Rng rng);
 
   /// Generate the log of one paper server (index into kPaperServers).
@@ -71,7 +72,6 @@ class LogGenerator {
   [[nodiscard]] ClientRecord make_client(const ServerSpec& server,
                                          std::uint64_t id,
                                          double requests_per_client);
-  [[nodiscard]] std::size_t pick_provider(const ServerSpec& server);
 
   GeneratorParams params_;
   core::Rng rng_;

@@ -17,6 +17,20 @@
 
 namespace mntp::net {
 
+// The last-hop defaults both callers share: WirelessChannelParams takes
+// its defaults from these, the fleet uses them as they are.
+/// SNR margin (dB) at which one attempt fails half the time.
+inline constexpr double kSnr50Db = 8.0;
+/// Logistic slope of the attempt-failure curve (dB per e-fold).
+inline constexpr double kSnrSlopeDb = 2.2;
+/// Stationary stddev and relaxation time of the slow OU shadowing.
+inline constexpr double kShadowingSigmaDb = 2.5;
+inline constexpr double kShadowingTauS = 25.0;
+/// Retries after the first attempt before the packet is dropped.
+inline constexpr int kMaxRetries = 6;
+/// Mean backoff of the first retry, ms (retry k waits k times as long).
+inline constexpr double kRetryBackoffMs = 5.0;
+
 /// Probability that one MAC attempt fails from SNR alone: a logistic in
 /// the SNR margin, 1 / (1 + e^{(snr - snr50) / slope}) — ~0 a few slopes
 /// above `snr50_db`, ~1 well below it.

@@ -28,6 +28,7 @@
 #include "core/units.h"
 #include "net/hints.h"
 #include "net/link.h"
+#include "net/mac.h"
 #include "obs/telemetry.h"
 
 namespace mntp::net {
@@ -38,9 +39,9 @@ struct WirelessChannelParams {
   /// Mean path loss between WAP and client; RSSI ~= tx_power - path_loss.
   core::Decibels path_loss{83.0};
   /// Stationary stddev of the slow shadowing process on RSSI.
-  double shadowing_sigma_db = 2.5;
+  double shadowing_sigma_db = kShadowingSigmaDb;
   /// Relaxation time of the shadowing OU process.
-  double shadowing_tau_s = 25.0;
+  double shadowing_tau_s = kShadowingTauS;
   /// Per-reading fast-fading fluctuation on hint observations.
   double fast_fading_sigma_db = 1.2;
   core::Dbm base_noise{-95.0};
@@ -60,13 +61,13 @@ struct WirelessChannelParams {
   /// Mean per-frame service time used by the queueing term.
   core::Duration service_time = core::Duration::milliseconds(6);
   /// Mean additional backoff per MAC retry.
-  core::Duration retry_backoff = core::Duration::milliseconds(5);
-  int max_retries = 6;
+  core::Duration retry_backoff = core::Duration::from_millis(kRetryBackoffMs);
+  int max_retries = kMaxRetries;
   /// SNR margin (dB) at which a single transmission attempt fails 50% of
   /// the time; lower SNR fails more.
-  double snr50_db = 8.0;
+  double snr50_db = kSnr50Db;
   /// Logistic slope of the attempt-failure curve (dB per e-fold).
-  double snr_slope_db = 2.2;
+  double snr_slope_db = kSnrSlopeDb;
   /// Extra per-attempt collision probability contributed by saturating
   /// cross-traffic (scaled by utilization).
   double collision_at_full_load = 0.25;

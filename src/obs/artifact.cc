@@ -579,11 +579,16 @@ void validate_fleet(const Artifact& art) {
   const auto n = [](const Json& v) { return v.as_int(); };
   expect(params, {"clients", "shards", "seed", "kod_limit_per_slice"},
          Want::kCount, "params ");
-  for (const char* key : {"duration_s", "cache_bucket_ms", "batch_window_ms"}) {
+  const auto positive = [&params](const char* key) {
     if (!holds(params[key], Want::kAmount) || num(params[key]) <= 0.0) {
       fail(std::string("params '") + key + "' must be a positive number");
     }
+  };
+  for (const char* key : {"duration_s", "cache_bucket_ms", "batch_window_ms"}) {
+    positive(key);
   }
+  // Reports written before slice_s was recorded stay valid without it.
+  if (params.has("slice_s")) positive("slice_s");
   expect(pop, {"clients", "sntp_clients", "ntp_clients", "wireless_clients",
                "wired_clients"},
          Want::kCount, "population ");

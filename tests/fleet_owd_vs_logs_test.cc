@@ -1,8 +1,10 @@
-// Cross-check: the fleet simulator and logs::generate model the same
-// paper population (Table 1 servers, provider mix, §3.1 OWD shapes), so
-// their per-provider-category OWD distributions must agree in shape —
-// same category ordering and medians within a generous band. Guards
-// against the two models drifting apart when either side is retuned.
+// Cross-check: the fleet simulator and logs::LogGenerator call the same
+// §3.1 population kernel (logs/population.h: Table 1 servers, provider
+// mix, base-OWD shapes, per-query inflation), so their
+// per-provider-category OWD distributions must agree in shape — same
+// category ordering and medians within a generous band. Guards against
+// either pipeline reshaping what it feeds the kernel (the fleet adds
+// MAC backoff and clock error; the logs sample per request).
 #include <algorithm>
 #include <array>
 #include <cstddef>
@@ -76,9 +78,9 @@ TEST(FleetOwdVsLogs, CategoryMediansAgreeInShape) {
   EXPECT_LT(fleet_median[1], fleet_median[2]);
   EXPECT_LT(fleet_median[2], fleet_median[3]);
 
-  // Medians within a generous band: the models share base-OWD draws but
-  // differ in per-query jitter (Pareto tails, MAC backoff, clock error),
-  // so require agreement within 2x, not equality.
+  // Medians within a generous band: the pipelines share the kernel's
+  // base-OWD and inflation draws but the fleet adds MAC backoff and
+  // clock error, so require agreement within 2x, not equality.
   for (std::size_t c = 0; c < 4; ++c) {
     const double ratio = fleet_median[c] / log_median[c];
     EXPECT_GT(ratio, 0.5) << "category " << c << " fleet=" << fleet_median[c]

@@ -139,7 +139,7 @@ void reference_slice(ReferenceServer& st, const fleet::FleetParams& p,
       static_cast<std::uint64_t>(p.batch_window_ms * 1e6);
   const auto cache_bucket_ns =
       static_cast<std::uint64_t>(p.cache_bucket_ms * 1e6);
-  const auto cap_ns = static_cast<std::uint64_t>(p.kod_backoff_cap_s * 1e9);
+  const auto cap_ns = static_cast<std::uint64_t>(fleet::kKodBackoffCapS * 1e9);
   std::uint64_t requests = 0;
   std::uint64_t served = 0;
   for (const fleet::ArrivalRecord& a : arrivals) {
@@ -155,7 +155,7 @@ void reference_slice(ReferenceServer& st, const fleet::FleetParams& p,
     if (requests > p.kod_limit_per_slice) {
       ++st.totals.kod;
       interval_ns[a.client] = ntp::kod_backoff_interval_ns(
-          interval_ns[a.client], p.kod_backoff_factor, cap_ns);
+          interval_ns[a.client], fleet::kKodBackoffFactor, cap_ns);
       continue;
     }
     ++served;
@@ -163,7 +163,7 @@ void reference_slice(ReferenceServer& st, const fleet::FleetParams& p,
     if (bucket != st.cached_bucket) {
       st.cached_bucket = bucket;
       core::SmallRng rng(core::derive_stream_seed(server_seed, bucket));
-      st.cached_err_ms = rng.normal(0.0, p.server_err_sigma_ms);
+      st.cached_err_ms = rng.normal(0.0, fleet::kServerErrSigmaMs);
       ++st.totals.cache_misses;
     } else {
       ++st.totals.cache_hits;
@@ -383,7 +383,7 @@ TEST(Simulator, ResponseCacheHitRateTracksBucketSize) {
 
 TEST(Simulator, RejectsSliceLongerThanMinPoll) {
   fleet::FleetParams p = small_params();
-  p.slice_s = 20.0;  // >= sntp_poll_min_s
+  p.slice_s = 20.0;  // >= logs::kSntpPollMinS
   const auto fleet =
       std::make_shared<const fleet::ClientFleet>(fleet::ClientFleet::build(p));
   EXPECT_THROW(fleet::Simulator(fleet, p), std::invalid_argument);

@@ -407,6 +407,8 @@ const Row kRows[] = {
      "params 'shards' must be a non-negative integer"},
     {kFleet, "fleet_params_positive", "\"cache_bucket_ms\": 250.000",
      "\"cache_bucket_ms\": 0", "params 'cache_bucket_ms' must be a positive"},
+    {kFleet, "fleet_slice_positive", "\"slice_s\": 1.000",
+     "\"slice_s\": -1", "params 'slice_s' must be a positive"},
     {kFleet, "fleet_population", "\"population\": {",
      "\"population\": [], \"x\": {", "'population' must be an object"},
     {kFleet, "fleet_population_int", "\"ntp_clients\": 300",
@@ -550,6 +552,13 @@ TEST(ArtifactSchema, EveryReasonCodeIsAcceptedAndNoOther) {
     ASSERT_FALSE(r.ok()) << unknown;
     EXPECT_NE(r.error().message.find("unknown reason"), std::string::npos);
   }
+}
+
+TEST(ArtifactSchema, FleetReportWithoutSliceStaysValid) {
+  // Reports written before the params block recorded slice_s.
+  const Row older{kFleet, "fleet_no_slice", "\"slice_s\": 1.000, ", "", ""};
+  auto r = load_artifact(write_file("fleet_no_slice.json", mutate(older)));
+  EXPECT_TRUE(r.ok()) << r.error().message;
 }
 
 TEST(ArtifactSchema, NewerSchemaVersionLoadsUnvalidated) {

@@ -682,14 +682,19 @@ int inspect_fleet(const Artifact& art) {
   const auto n = [&doc](const char* key) {
     return as_ll(doc["totals"][key]);
   };
-  std::printf("fleet report: %s\n  clients=%lld  duration=%.0fs  "
+  // slice_s is absent from reports written before it was recorded.
+  const std::string slice =
+      params.has("slice_s")
+          ? mntp::core::strformat("  slice=%gs", params["slice_s"].as_double())
+          : std::string();
+  std::printf("fleet report: %s\n  clients=%lld  duration=%.0fs%s  "
               "shards=%lld  seed=%lld  kod_limit/slice=%lld\n  threads=%lld  "
               "wall=%.3fs  %.0f queries/s/core\n",
               art.path.c_str(), as_ll(params["clients"]),
-              params["duration_s"].as_double(), as_ll(params["shards"]),
-              as_ll(params["seed"]), as_ll(params["kod_limit_per_slice"]),
-              as_ll(tp["threads"]), tp["wall_s"].as_double(),
-              tp["qps_per_core"].as_double());
+              params["duration_s"].as_double(), slice.c_str(),
+              as_ll(params["shards"]), as_ll(params["seed"]),
+              as_ll(params["kod_limit_per_slice"]), as_ll(tp["threads"]),
+              tp["wall_s"].as_double(), tp["qps_per_core"].as_double());
   const long long lookups = n("cache_hits") + n("cache_misses");
   std::printf("  queries %s  arrived %s  dropped %s  batches %s\n"
               "  KoD %s (%s of arrived)  cache hit ratio %s  "
